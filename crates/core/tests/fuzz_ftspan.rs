@@ -1,6 +1,5 @@
-//! Fuzz-style battery for the `.ftspan` artifact codecs — the text format,
-//! the v1 section stream and the v2 fixed-width table — mirroring the
-//! `.ftdelta` battery in `fuzz_ftdelta.rs` and the wire battery in
+//! Fuzz-style battery for the `.ftspan` artifact codec — the fixed-width,
+//! 8-byte-aligned section table — mirroring the `.ftdelta` battery in `fuzz_ftdelta.rs` and the wire battery in
 //! `crates/net/tests/fuzz_decode.rs`.
 //!
 //! Seeded (fully reproducible) adversarial inputs — random bytes, every
@@ -36,45 +35,20 @@ fn sample_artifact() -> FtSpanner {
         .clone()
 }
 
-fn encode_v1(artifact: &FtSpanner) -> Vec<u8> {
+fn encode(artifact: &FtSpanner) -> Vec<u8> {
     let mut out = Vec::new();
     artifact
         .to_binary_writer(&mut out)
-        .expect("v1 encoding succeeds");
+        .expect("encoding succeeds");
     out
 }
 
-fn encode_v2(artifact: &FtSpanner) -> Vec<u8> {
-    let mut out = Vec::new();
-    artifact
-        .to_binary_v2_writer(&mut out)
-        .expect("v2 encoding succeeds");
-    out
-}
-
-fn encode_text(artifact: &FtSpanner) -> Vec<u8> {
-    let mut out = Vec::new();
-    artifact
-        .to_writer(&mut out)
-        .expect("text encoding succeeds");
-    out
-}
-
-/// A v1 stream with a hand-built header and body, for forging.
-fn raw_v1(magic: &[u8; 4], version: u32, body: &[u8]) -> Vec<u8> {
+/// An image with a hand-built header and body, for forging.
+fn raw_image(magic: &[u8; 4], version: u32, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(magic);
     out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(body);
-    out
-}
-
-/// A single length-prefixed v1 section.
-fn v1_section(tag: &[u8; 4], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(tag);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
     out
 }
 
@@ -87,16 +61,13 @@ fn assert_typed(result: ftspan_core::Result<FtSpanner>, context: &str) {
 }
 
 #[test]
-fn all_three_codecs_round_trip_the_sample_artifact() {
+fn the_codec_round_trips_the_sample_artifact() {
     let artifact = sample_artifact();
-    let v1 = FtSpanner::from_binary_reader(&encode_v1(&artifact)[..]).expect("v1 decodes");
-    assert_eq!(v1, artifact);
-    let v2 = FtSpanner::from_binary_reader(&encode_v2(&artifact)[..]).expect("v2 decodes");
-    assert_eq!(v2, artifact);
-    let v2_slice = FtSpanner::from_binary_slice(&encode_v2(&artifact)).expect("slice decodes");
-    assert_eq!(v2_slice, artifact);
-    let text = FtSpanner::from_reader(&encode_text(&artifact)[..]).expect("text decodes");
-    assert_eq!(text, artifact);
+    let wire = encode(&artifact);
+    let decoded = FtSpanner::from_binary_reader(&wire[..]).expect("image decodes");
+    assert_eq!(decoded, artifact);
+    let view = FtSpannerView::parse(&wire).expect("image parses");
+    assert_eq!(view.materialize().expect("view materializes"), artifact);
 }
 
 #[test]
@@ -106,78 +77,45 @@ fn random_bytes_decode_to_typed_errors_without_panicking() {
         let len = rng.gen_range(0..400usize);
         let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
         assert_typed(FtSpanner::from_binary_reader(&bytes[..]), "random bytes");
-        // The slice path must agree that garbage is garbage.
-        assert_typed(FtSpanner::from_binary_slice(&bytes), "random bytes (slice)");
         if FtSpannerView::parse(&bytes).is_ok() {
-            panic!("random bytes parsed as a v2 view");
+            panic!("random bytes parsed as a view");
         }
-        // Random text through the line-oriented codec.
-        assert_typed(FtSpanner::from_reader(&bytes[..]), "random bytes (text)");
-    }
-}
-
-#[test]
-fn every_truncation_of_a_valid_v1_stream_is_a_typed_error() {
-    let wire = encode_v1(&sample_artifact());
-    for cut in 0..wire.len() {
-        assert_typed(
-            FtSpanner::from_binary_reader(&wire[..cut]),
-            &format!("v1 cut at {cut}/{}", wire.len()),
-        );
     }
 }
 
 #[test]
 fn every_truncation_of_a_valid_v2_image_is_a_typed_error() {
-    let wire = encode_v2(&sample_artifact());
+    let wire = encode(&sample_artifact());
     for cut in 0..wire.len() {
         assert_typed(
-            FtSpanner::from_binary_slice(&wire[..cut]),
-            &format!("v2 cut at {cut}/{}", wire.len()),
+            FtSpanner::from_binary_reader(&wire[..cut]),
+            &format!("cut at {cut}/{}", wire.len()),
         );
         assert!(
             FtSpannerView::parse(&wire[..cut]).is_err(),
-            "v2 view parsed a truncation at {cut}"
+            "view parsed a truncation at {cut}"
         );
     }
 }
 
 #[test]
-fn every_line_truncation_of_a_valid_text_artifact_is_a_typed_error() {
-    let wire = encode_text(&sample_artifact());
-    let text = std::str::from_utf8(&wire).expect("text codec writes UTF-8");
-    let lines: Vec<&str> = text.lines().collect();
-    for keep in 0..lines.len() {
-        let partial = lines[..keep].join("\n");
-        assert_typed(
-            FtSpanner::from_reader(partial.as_bytes()),
-            &format!("text truncated to {keep}/{} lines", lines.len()),
-        );
-    }
-}
-
-#[test]
-fn trailing_bytes_after_either_binary_format_are_rejected() {
-    let artifact = sample_artifact();
-    let mut v1 = encode_v1(&artifact);
-    v1.push(0);
-    match FtSpanner::from_binary_reader(&v1[..]) {
+fn trailing_bytes_after_an_image_are_rejected() {
+    let mut wire = encode(&sample_artifact());
+    wire.push(1); // non-zero so it cannot pass as alignment padding
+    match FtSpanner::from_binary_reader(&wire[..]) {
         Err(CoreError::InvalidParameter { message }) => {
             assert!(
-                message.contains("trailing"),
+                message.contains("does not end"),
                 "unexpected message: {message}"
             )
         }
         other => panic!("expected a trailing-bytes error, got {other:?}"),
     }
-    let mut v2 = encode_v2(&artifact);
-    v2.push(1); // non-zero so it cannot pass as alignment padding
-    assert_typed(FtSpanner::from_binary_slice(&v2), "v2 trailing byte");
 }
 
 #[test]
 fn bad_magic_and_version_skew_are_typed_errors() {
-    let wire = encode_v1(&sample_artifact());
+    let wire = encode(&sample_artifact());
     let mut bad = wire.clone();
     bad[..4].copy_from_slice(b"HTTP");
     match FtSpanner::from_binary_reader(&bad[..]) {
@@ -186,12 +124,13 @@ fn bad_magic_and_version_skew_are_typed_errors() {
         }
         other => panic!("expected a bad-magic error, got {other:?}"),
     }
-    for found in [0u32, 3, 7, u32::MAX] {
-        let forged = raw_v1(b"FTSP", found, &wire[8..]);
+    // Version 1 is the retired length-prefixed layout: no longer readable.
+    for found in [0u32, 1, 3, 7, u32::MAX] {
+        let forged = raw_image(b"FTSP", found, &wire[8..]);
         match FtSpanner::from_binary_reader(&forged[..]) {
             Err(CoreError::InvalidParameter { message }) => {
                 assert!(
-                    message.contains(&found.to_string()),
+                    message.contains(&format!("version {found}")),
                     "version {found}: error does not name the version: {message}"
                 );
             }
@@ -201,116 +140,37 @@ fn bad_magic_and_version_skew_are_typed_errors() {
 }
 
 #[test]
-fn lying_v1_section_lengths_fail_before_any_allocation() {
-    // A META section claiming a multi-gigabyte payload backed by 4 bytes:
-    // the reader's take-bounded section loader must fail on the missing
-    // bytes, not allocate the claimed length.
-    for lying_len in [u64::MAX, u64::MAX / 2, 1 << 40] {
-        let mut body = Vec::new();
-        body.extend_from_slice(b"META");
-        body.extend_from_slice(&lying_len.to_le_bytes());
-        body.extend_from_slice(b"tiny");
-        let wire = raw_v1(b"FTSP", 1, &body);
-        assert_typed(
-            FtSpanner::from_binary_reader(&wire[..]),
-            &format!("META claiming {lying_len} bytes"),
-        );
-    }
-}
-
-#[test]
-fn implausible_v1_node_counts_are_refused_without_allocating() {
-    // A structurally valid META plus a GRPH section declaring u32::MAX
-    // vertices over zero edges: the node bound must refuse the Graph
-    // allocation with a typed error.
-    let mut meta = Vec::new();
-    meta.extend_from_slice(&1u32.to_le_bytes()); // algorithm len
-    meta.push(b'x');
-    meta.extend_from_slice(&1u32.to_le_bytes()); // provenance len
-    meta.push(b'y');
-    meta.push(0u8); // vertex model
-    meta.extend_from_slice(&1u64.to_le_bytes()); // faults
-    meta.extend_from_slice(&3.0f64.to_le_bytes()); // stretch
-    let mut grph = Vec::new();
-    grph.extend_from_slice(&u32::MAX.to_le_bytes()); // n
-    grph.extend_from_slice(&0u32.to_le_bytes()); // m
-    let mut body = v1_section(b"META", &meta);
-    body.extend_from_slice(&v1_section(b"GRPH", &grph));
-    body.extend_from_slice(&v1_section(b"SPAN", &0u32.to_le_bytes()));
-    body.extend_from_slice(&v1_section(b"END\0", &[]));
-    let wire = raw_v1(b"FTSP", 1, &body);
-    match FtSpanner::from_binary_reader(&wire[..]) {
-        Err(CoreError::InvalidParameter { message }) => {
-            assert!(
-                message.contains("implausible"),
-                "unexpected message: {message}"
-            );
-        }
-        other => panic!("expected the node-bound refusal, got {other:?}"),
-    }
-}
-
-#[test]
-fn forged_text_headers_cannot_bomb_the_vertex_allocation() {
-    // Minimized reproducer from the fuzz battery: a graph line claiming
-    // u32::MAX vertices and edges used to allocate the full adjacency array
-    // (~100 GiB) before reading a single edge line. It must now fail as a
-    // typed error with allocations bounded by the bytes actually present.
-    let forged = "ftspanner 1\nalgorithm x\nprovenance y\nguarantee vertex 1 3\n\
-                  graph 4294967295 4294967295\n";
-    assert_typed(
-        FtSpanner::from_reader(forged.as_bytes()),
-        "text header claiming 2^32 vertices",
-    );
-    // Same lie with the edge count it can actually back: still refused by
-    // the node bound, after the (tiny) edge list is read.
-    let forged = "ftspanner 1\nalgorithm x\nprovenance y\nguarantee vertex 1 3\n\
-                  graph 4294967295 1\n0 1 1.0\nspanner 0\nend\n";
-    match FtSpanner::from_reader(forged.as_bytes()) {
-        Err(CoreError::InvalidParameter { message }) => {
-            assert!(
-                message.contains("implausible"),
-                "unexpected message: {message}"
-            );
-        }
-        other => panic!("expected the node-bound refusal, got {other:?}"),
-    }
-}
-
-#[test]
 fn v2_header_and_table_violations_are_typed_errors() {
-    let wire = encode_v2(&sample_artifact());
+    let wire = encode(&sample_artifact());
+    let decode = |forged: &[u8]| FtSpanner::from_binary_reader(forged);
     // Section count forged to 7.
     let mut forged = wire.clone();
     forged[8..12].copy_from_slice(&7u32.to_le_bytes());
-    assert_typed(FtSpanner::from_binary_slice(&forged), "v2 section count 7");
+    assert_typed(decode(&forged), "section count 7");
     // Reserved header word non-zero.
     let mut forged = wire.clone();
     forged[12] = 1;
-    assert_typed(FtSpanner::from_binary_slice(&forged), "v2 reserved header");
+    assert_typed(decode(&forged), "reserved header");
     // First table entry: reserved word non-zero.
     let mut forged = wire.clone();
     forged[16 + 4] = 1;
-    assert_typed(FtSpanner::from_binary_slice(&forged), "v2 reserved entry");
+    assert_typed(decode(&forged), "reserved entry");
     // First table entry: misaligned offset.
     let mut forged = wire.clone();
     let off = u64::from_le_bytes(forged[24..32].try_into().unwrap());
     forged[24..32].copy_from_slice(&(off + 1).to_le_bytes());
-    assert_typed(
-        FtSpanner::from_binary_slice(&forged),
-        "v2 misaligned offset",
-    );
+    assert_typed(decode(&forged), "misaligned offset");
     // First table entry: length lying far past the file.
     let mut forged = wire.clone();
     forged[32..40].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-    assert_typed(FtSpanner::from_binary_slice(&forged), "v2 lying length");
+    assert_typed(decode(&forged), "lying length");
     // Spliced table: swap the first two entries (tag order is fixed).
     let mut forged = wire.clone();
     let (a, b) = (16usize, 16 + 24);
     for i in 0..24 {
         forged.swap(a + i, b + i);
     }
-    assert_typed(FtSpanner::from_binary_slice(&forged), "v2 spliced table");
+    assert_typed(decode(&forged), "spliced table");
 }
 
 #[test]
@@ -319,14 +179,14 @@ fn v2_padding_must_be_zero() {
     // is almost surely unaligned; flip every padding byte and expect a
     // typed rejection (a reader that ignored padding would admit smuggled
     // bytes into an otherwise-valid image).
-    let wire = encode_v2(&sample_artifact());
+    let wire = encode(&sample_artifact());
     assert!(FtSpannerView::parse(&wire).is_ok(), "own encoding parses");
     let mut rejected = 0usize;
     for at in 16 + 6 * 24..wire.len() {
         if wire[at] == 0 {
             let mut forged = wire.clone();
             forged[at] = 0xAA;
-            if FtSpanner::from_binary_slice(&forged).is_err() {
+            if FtSpanner::from_binary_reader(&forged[..]).is_err() {
                 rejected += 1;
             }
         }
@@ -338,9 +198,9 @@ fn v2_padding_must_be_zero() {
 }
 
 #[test]
-fn mutated_v1_streams_never_panic_and_errors_stay_typed() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xF451);
-    let original = encode_v1(&sample_artifact());
+fn mutated_v2_images_never_panic_and_errors_stay_typed() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xF452);
+    let original = encode(&sample_artifact());
     for _ in 0..3000 {
         let mut wire = original.clone();
         for _ in 0..rng.gen_range(1..9usize) {
@@ -359,55 +219,13 @@ fn mutated_v1_streams_never_panic_and_errors_stay_typed() {
 }
 
 #[test]
-fn mutated_v2_images_never_panic_and_errors_stay_typed() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xF452);
-    let original = encode_v2(&sample_artifact());
-    for _ in 0..3000 {
-        let mut wire = original.clone();
-        for _ in 0..rng.gen_range(1..9usize) {
-            let at = rng.gen_range(0..wire.len());
-            wire[at] = rng.gen();
-        }
-        match FtSpanner::from_binary_slice(&wire) {
-            Ok(artifact) => {
-                assert!(artifact.spanner_edge_count() <= artifact.source_edge_count());
-            }
-            Err(CoreError::InvalidParameter { .. }) => {}
-            Err(other) => panic!("unexpected error class: {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn mutated_text_artifacts_never_panic_and_errors_stay_typed() {
-    let mut rng = ChaCha8Rng::seed_from_u64(0xF453);
-    let original = encode_text(&sample_artifact());
-    for _ in 0..2000 {
-        let mut wire = original.clone();
-        for _ in 0..rng.gen_range(1..6usize) {
-            let at = rng.gen_range(0..wire.len());
-            wire[at] = rng.gen();
-        }
-        match FtSpanner::from_reader(&wire[..]) {
-            Ok(artifact) => {
-                assert!(artifact.spanner_edge_count() <= artifact.source_edge_count());
-            }
-            Err(CoreError::InvalidParameter { .. }) => {}
-            Err(other) => panic!("unexpected error class: {other:?}"),
-        }
-    }
-}
-
-#[test]
 fn random_bodies_under_valid_headers_never_panic() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xF454);
     for _ in 0..2000 {
         let len = rng.gen_range(0..300usize);
         let body: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-        let v1 = raw_v1(b"FTSP", 1, &body);
-        let _ = FtSpanner::from_binary_reader(&v1[..]);
-        let v2 = raw_v1(b"FTSP", 2, &body);
-        let _ = FtSpanner::from_binary_slice(&v2);
-        let _ = FtSpannerView::parse(&v2);
+        let wire = raw_image(b"FTSP", 2, &body);
+        let _ = FtSpanner::from_binary_reader(&wire[..]);
+        let _ = FtSpannerView::parse(&wire);
     }
 }

@@ -1,4 +1,4 @@
-//! Pins the zero-copy claim of the `.ftspan` version-2 layout: a successful
+//! Pins the zero-copy claim of the `.ftspan` layout: a successful
 //! [`FtSpannerView::parse`] performs **no heap allocation at all** — the
 //! sections are validated in place and borrowed from the caller's buffer —
 //! and random record access through the view stays allocation-free too.
@@ -10,7 +10,7 @@
 //! for.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use ftspan_core::algorithms::core_algorithms;
 use ftspan_core::api::Registry;
@@ -22,23 +22,34 @@ use rand_chacha::ChaCha8Rng;
 /// Forwards to the system allocator while counting every allocation call.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Per-thread, so tests that
+    /// the harness runs concurrently (and build artifacts meanwhile) cannot
+    /// leak their allocations into another test's measurement.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System`; the counter is a relaxed atomic
-// with no further invariants.
+/// Counts one allocation on the current thread. `try_with` because the
+/// allocator also runs while thread-locals are being torn down.
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: pure pass-through to `System`; the counter is a const-initialized
+// thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -50,11 +61,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static COUNTER: CountingAllocator = CountingAllocator;
 
-/// Runs `f` and returns how many heap allocations it performed.
+/// Runs `f` on the current thread and returns how many heap allocations it
+/// performed.
 fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let value = f();
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = ALLOCATIONS.with(Cell::get);
     (value, after - before)
 }
 
@@ -70,7 +82,7 @@ fn v2_image(seed: u64) -> Vec<u8> {
     let artifact = FtSpanner::from_report(&g, &report).expect("artifact builds");
     let mut buf = Vec::new();
     artifact
-        .to_binary_v2_writer(&mut buf)
+        .to_binary_writer(&mut buf)
         .expect("serialization succeeds");
     buf
 }

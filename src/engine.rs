@@ -3,7 +3,7 @@
 //!
 //! The build-once/query-many workflow: construct artifacts through
 //! [`FtSpannerBuilder::build_artifact`](crate::FtSpannerBuilder::build_artifact)
-//! (or load them with [`FtSpanner::from_reader`] / an
+//! (or load them with [`FtSpanner::from_binary_reader`] / an
 //! [`ArtifactStore`](crate::ArtifactStore)), register them under names, then
 //! execute whole batches of [`Query`] values. Results come back **in input
 //! order**, so a batch is deterministic regardless of worker count or
@@ -291,34 +291,26 @@ impl StatsCell {
     }
 }
 
-/// A registered serving target: one flat artifact, a sharded one whose
-/// queries scatter-gather over a boundary overlay, or a dynamic one carrying
-/// its recipe and delta log. Every variant is an `Arc`, so a registry
-/// snapshot is a cheap map clone and an in-flight batch keeps the version it
-/// planned against alive across a concurrent swap.
-#[derive(Debug, Clone)]
-enum Registered {
-    Single(Arc<FtSpanner>),
-    Sharded(Arc<ShardedArtifact>),
-    Dynamic(Arc<DynamicArtifact>),
-}
-
 /// One consistent view of the registry: all queries of a batch are answered
 /// from a single snapshot, taken once before planning.
-type Snapshot = BTreeMap<String, Registered>;
+type Snapshot = BTreeMap<String, ArtifactHandle>;
 
-/// An owned view of a registered serving target, mirroring the three
-/// registration paths ([`Engine::register`] / [`Engine::register_sharded`] /
+/// A registered serving target, mirroring the three registration paths
+/// ([`Engine::register`] / [`Engine::register_sharded`] /
 /// [`Engine::register_dynamic`]) without forcing callers to guess which one
-/// a name went through.
+/// a name went through: one flat artifact, a sharded one whose queries
+/// scatter-gather over a boundary overlay, or a dynamic one carrying its
+/// recipe and delta log.
 ///
-/// Obtained from [`Engine::artifact_handle`]. The uniform accessors
-/// (`fault_model`, `stretch`, [`ArtifactHandle::summary`], …) answer the
-/// questions a listing or routing layer asks without branching on the
-/// artifact kind; `as_single` / `as_sharded` / `as_dynamic` recover the
-/// concrete type when a caller genuinely needs one shape. The handle holds
-/// `Arc`s, so it stays valid (pinned to the version it was taken at) even if
-/// the artifact is concurrently swapped or unregistered.
+/// The registry stores these handles, and [`Engine::artifact_handle`] hands
+/// out clones. The uniform accessors (`fault_model`, `stretch`,
+/// [`ArtifactHandle::summary`], …) answer the questions a listing or routing
+/// layer asks without branching on the artifact kind; `as_single` /
+/// `as_sharded` / `as_dynamic` recover the concrete type when a caller
+/// genuinely needs one shape. Every variant is an `Arc`, so a registry
+/// snapshot is a cheap map clone, and a handle stays valid (pinned to the
+/// version it was taken at) even if the artifact is concurrently swapped or
+/// unregistered.
 #[derive(Debug, Clone)]
 pub enum ArtifactHandle {
     /// A flat artifact registered through [`Engine::register`].
@@ -517,11 +509,14 @@ impl Engine {
         self.registry().clone()
     }
 
+    fn install(&mut self, name: &str, handle: ArtifactHandle) -> &mut Self {
+        self.registry_mut().insert(name.to_string(), handle);
+        self
+    }
+
     /// Registers (or replaces) an artifact under `name`.
     pub fn register(&mut self, name: &str, artifact: FtSpanner) -> &mut Self {
-        self.registry_mut()
-            .insert(name.to_string(), Registered::Single(Arc::new(artifact)));
-        self
+        self.install(name, ArtifactHandle::Single(Arc::new(artifact)))
     }
 
     /// Registers (or replaces) a sharded artifact under `name`. Sharded
@@ -529,18 +524,14 @@ impl Engine {
     /// (scatter-gather over the boundary overlay) is an engine concern, not
     /// a client concern.
     pub fn register_sharded(&mut self, name: &str, artifact: ShardedArtifact) -> &mut Self {
-        self.registry_mut()
-            .insert(name.to_string(), Registered::Sharded(Arc::new(artifact)));
-        self
+        self.install(name, ArtifactHandle::Sharded(Arc::new(artifact)))
     }
 
     /// Registers (or replaces) a dynamic artifact under `name`. Dynamic
     /// artifacts serve the same [`Query`] values as flat ones and can be
     /// evolved in place with [`Engine::apply_deltas`].
     pub fn register_dynamic(&mut self, name: &str, artifact: DynamicArtifact) -> &mut Self {
-        self.registry_mut()
-            .insert(name.to_string(), Registered::Dynamic(Arc::new(artifact)));
-        self
+        self.install(name, ArtifactHandle::Dynamic(Arc::new(artifact)))
     }
 
     /// Looks up any registered artifact as a kind-agnostic
@@ -549,11 +540,7 @@ impl Engine {
     /// [`Engine::dynamic_artifact`] remain as kind-specific conveniences
     /// built on top of it.
     pub fn artifact_handle(&self, name: &str) -> Option<ArtifactHandle> {
-        Some(match self.registry().get(name)? {
-            Registered::Single(a) => ArtifactHandle::Single(Arc::clone(a)),
-            Registered::Sharded(a) => ArtifactHandle::Sharded(Arc::clone(a)),
-            Registered::Dynamic(d) => ArtifactHandle::Dynamic(Arc::clone(d)),
-        })
+        self.registry().get(name).cloned()
     }
 
     /// Looks up the served [`FtSpanner`] of a flat **or dynamic**
@@ -561,17 +548,17 @@ impl Engine {
     /// `None` for names registered through [`Engine::register_sharded`]; use
     /// [`Engine::artifact_handle`] for a kind-agnostic view.
     pub fn artifact(&self, name: &str) -> Option<Arc<FtSpanner>> {
-        match self.registry().get(name)? {
-            Registered::Single(a) => Some(Arc::clone(a)),
-            Registered::Dynamic(d) => Some(d.artifact_arc()),
-            Registered::Sharded(_) => None,
+        match self.artifact_handle(name)? {
+            ArtifactHandle::Single(a) => Some(a),
+            ArtifactHandle::Dynamic(d) => Some(d.artifact_arc()),
+            ArtifactHandle::Sharded(_) => None,
         }
     }
 
     /// Looks up a registered *sharded* artifact.
     pub fn sharded_artifact(&self, name: &str) -> Option<Arc<ShardedArtifact>> {
-        match self.registry().get(name)? {
-            Registered::Sharded(a) => Some(Arc::clone(a)),
+        match self.artifact_handle(name)? {
+            ArtifactHandle::Sharded(a) => Some(a),
             _ => None,
         }
     }
@@ -580,8 +567,8 @@ impl Engine {
     /// concurrent [`Engine::apply_deltas`] replaces the registry slot, never
     /// the value this `Arc` points at).
     pub fn dynamic_artifact(&self, name: &str) -> Option<Arc<DynamicArtifact>> {
-        match self.registry().get(name)? {
-            Registered::Dynamic(d) => Some(Arc::clone(d)),
+        match self.artifact_handle(name)? {
+            ArtifactHandle::Dynamic(d) => Some(d),
             _ => None,
         }
     }
@@ -638,13 +625,13 @@ impl Engine {
         deltas: &[EdgeDelta],
         policy: &RebuildPolicy,
     ) -> Result<ApplyReport> {
-        let current = match self.registry().get(name) {
+        let current = match self.artifact_handle(name) {
             None => {
                 return Err(CoreError::UnknownArtifact {
                     name: name.to_string(),
                 })
             }
-            Some(Registered::Dynamic(d)) => Arc::clone(d),
+            Some(ArtifactHandle::Dynamic(d)) => d,
             Some(_) => {
                 return Err(CoreError::InvalidParameter {
                     message: format!(
@@ -660,7 +647,7 @@ impl Engine {
         {
             let mut registry = self.registry_mut();
             match registry.get_mut(name) {
-                Some(Registered::Dynamic(slot)) if Arc::ptr_eq(slot, &current) => {
+                Some(ArtifactHandle::Dynamic(slot)) if Arc::ptr_eq(slot, &current) => {
                     *slot = next;
                 }
                 _ => {
@@ -683,7 +670,7 @@ impl Engine {
         Ok(report)
     }
 
-    fn lookup<'s>(snapshot: &'s Snapshot, query: &Query) -> Result<&'s Registered> {
+    fn lookup<'s>(snapshot: &'s Snapshot, query: &Query) -> Result<&'s ArtifactHandle> {
         snapshot
             .get(&query.artifact)
             .ok_or_else(|| CoreError::UnknownArtifact {
@@ -691,77 +678,69 @@ impl Engine {
             })
     }
 
-    /// The flat serving surface of a registered target: a dynamic artifact
-    /// answers queries exactly like its currently served [`FtSpanner`].
-    fn as_flat(registered: &Registered) -> Option<&FtSpanner> {
-        match registered {
-            Registered::Single(a) => Some(a),
-            Registered::Dynamic(d) => Some(d.artifact()),
-            Registered::Sharded(_) => None,
-        }
-    }
-
-    /// Opens the session a query asks for on a flat artifact, mirroring the
-    /// fault-kind checks of the naive per-query path exactly.
+    /// Opens a session scoped to the query's faults on an artifact
+    /// declaring `model`: `vertex` receives the vertex faults, `edge` the
+    /// edge faults, whichever kind the model lets fail.
     ///
     /// A query carrying the wrong kind of faults for the artifact is a
     /// typed error — silently ignoring the supplied fault set would return
     /// confidently wrong (unmasked) answers.
-    fn open_single<'e>(&self, artifact: &'e FtSpanner, query: &Query) -> Result<FaultSession<'e>> {
-        if artifact.fault_model() == FaultModel::Edge {
-            if !query.faults.is_empty() {
-                return Err(CoreError::FaultModelMismatch {
-                    declared: FaultModel::Edge,
-                    requested: FaultModel::Vertex,
-                });
-            }
-            artifact.under_edge_faults(&query.edge_faults)
-        } else {
-            if !query.edge_faults.is_empty() {
-                return Err(CoreError::FaultModelMismatch {
-                    declared: FaultModel::Vertex,
-                    requested: FaultModel::Edge,
-                });
-            }
-            artifact.under_faults(&query.faults)
+    fn open_scoped<S>(
+        model: FaultModel,
+        query: &Query,
+        vertex: impl FnOnce(&[NodeId]) -> Result<S>,
+        edge: impl FnOnce(&[(NodeId, NodeId)]) -> Result<S>,
+    ) -> Result<S> {
+        let (requested, wrong_kind) = match model {
+            FaultModel::Vertex => (FaultModel::Edge, !query.edge_faults.is_empty()),
+            FaultModel::Edge => (FaultModel::Vertex, !query.faults.is_empty()),
+        };
+        if wrong_kind {
+            return Err(CoreError::FaultModelMismatch {
+                declared: model,
+                requested,
+            });
+        }
+        match model {
+            FaultModel::Vertex => vertex(&query.faults),
+            FaultModel::Edge => edge(&query.edge_faults),
         }
     }
 
-    /// The sharded analogue of [`Engine::open_single`]: identical fault-kind
-    /// checks, scatter-gather session underneath.
+    /// Opens the session a query asks for on a flat artifact.
+    fn open_single<'e>(&self, artifact: &'e FtSpanner, query: &Query) -> Result<FaultSession<'e>> {
+        Self::open_scoped(
+            artifact.fault_model(),
+            query,
+            |faults| artifact.under_faults(faults),
+            |faults| artifact.under_edge_faults(faults),
+        )
+    }
+
+    /// Opens the scatter-gather session a query asks for on a sharded
+    /// artifact.
     fn open_sharded<'e>(
         &self,
         artifact: &'e ShardedArtifact,
         query: &Query,
     ) -> Result<ShardedSession<'e>> {
         let capacity = self.config.source_cache_capacity;
-        if artifact.fault_model() == FaultModel::Edge {
-            if !query.faults.is_empty() {
-                return Err(CoreError::FaultModelMismatch {
-                    declared: FaultModel::Edge,
-                    requested: FaultModel::Vertex,
-                });
-            }
-            artifact.under_edge_faults_with_capacity(&query.edge_faults, capacity)
-        } else {
-            if !query.edge_faults.is_empty() {
-                return Err(CoreError::FaultModelMismatch {
-                    declared: FaultModel::Vertex,
-                    requested: FaultModel::Edge,
-                });
-            }
-            artifact.under_faults_with_capacity(&query.faults, capacity)
-        }
+        Self::open_scoped(
+            artifact.fault_model(),
+            query,
+            |faults| artifact.under_faults_with_capacity(faults, capacity),
+            |faults| artifact.under_edge_faults_with_capacity(faults, capacity),
+        )
     }
 
     fn answer(&self, snapshot: &Snapshot, query: &Query) -> Result<QueryOutcome> {
         match Self::lookup(snapshot, query)? {
-            Registered::Sharded(artifact) => {
+            ArtifactHandle::Sharded(artifact) => {
                 let mut session = self.open_sharded(artifact, query)?;
                 Self::answer_sharded(&mut session, query)
             }
-            registered => {
-                let artifact = Self::as_flat(registered).expect("non-sharded target is flat");
+            handle => {
+                let artifact = handle.as_single().expect("non-sharded target is flat");
                 let session = self.open_single(artifact, query)?;
                 Ok(match query.kind {
                     QueryKind::Distance => {
@@ -824,7 +803,7 @@ impl Engine {
         };
         match Self::lookup(snapshot, &queries[indices[0]]) {
             Err(_) => naive(indices),
-            Ok(Registered::Sharded(artifact)) => {
+            Ok(ArtifactHandle::Sharded(artifact)) => {
                 match self.open_sharded(artifact, &queries[indices[0]]) {
                     Ok(mut session) => {
                         let results = indices
@@ -837,8 +816,8 @@ impl Engine {
                     Err(_) => naive(indices),
                 }
             }
-            Ok(registered) => {
-                let artifact = Self::as_flat(registered).expect("non-sharded target is flat");
+            Ok(handle) => {
+                let artifact = handle.as_single().expect("non-sharded target is flat");
                 match self.open_single(artifact, &queries[indices[0]]) {
                     Ok(session) => {
                         let mut cached = session.cached(self.config.source_cache_capacity);
@@ -1102,8 +1081,7 @@ mod tests {
         }
         assert!(engine.artifact_handle("missing").is_none());
 
-        // Kind-specific recovery mirrors Registered::{Single, Sharded,
-        // Dynamic}.
+        // Kind-specific recovery mirrors the three registration paths.
         let flat = engine.artifact_handle("net").unwrap();
         assert!(flat.as_single().is_some());
         assert!(flat.as_sharded().is_none());

@@ -1,9 +1,9 @@
 //! Directory-backed artifact persistence: the [`ArtifactStore`].
 //!
 //! A store is a plain directory of `.ftspan` files, one binary-serialized
-//! [`FtSpanner`] per file (version-2 layout, see
-//! [`FtSpanner::to_binary_v2_writer`]; version-1 files remain loadable); the
-//! file stem is the artifact's serving name. Sharded artifacts persist as a
+//! [`FtSpanner`] per file (the fixed-width layout documented on
+//! [`FtSpanner::to_binary_writer`], the only one the store reads or writes);
+//! the file stem is the artifact's serving name. Sharded artifacts persist as a
 //! versioned text manifest `<name>.ftshard` plus one `.ftspan` file per
 //! shard (`<name>.shard<i>.ftspan`). Build artifacts on a construction
 //! machine, [`save`](ArtifactStore::save) /
@@ -125,7 +125,7 @@ impl ArtifactStore {
     /// failure.
     pub fn save(&self, name: &str, artifact: &FtSpanner) -> Result<PathBuf> {
         let path = self.path_of(name)?;
-        self.write_atomic(&path, |writer| artifact.to_binary_v2_writer(writer))?;
+        self.write_atomic(&path, |writer| artifact.to_binary_writer(writer))?;
         Ok(path)
     }
 
@@ -136,7 +136,9 @@ impl ArtifactStore {
     /// counter makes the path unique per call, so concurrent saves of one
     /// name cannot interleave on a shared temp file.) The explicit flush
     /// matters too — artifacts are smaller than BufWriter's buffer, so Drop
-    /// would do the real write and swallow a full disk.
+    /// would do the real write and swallow a full disk. On Unix the store
+    /// directory is synced after the rename, so a power loss cannot undo a
+    /// save that returned `Ok`.
     fn write_atomic(
         &self,
         path: &Path,
@@ -167,6 +169,19 @@ impl ArtifactStore {
                 message: format!("cannot write {}: {e}", path.display()),
             });
         }
+        // The rename is a directory update: until the directory itself is
+        // synced, a power loss may forget it even though the file's bytes
+        // are on disk.
+        #[cfg(unix)]
+        File::open(&self.dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| CoreError::InvalidParameter {
+                message: format!(
+                    "cannot sync {} after writing {}: {e}",
+                    self.dir.display(),
+                    path.display()
+                ),
+            })?;
         Ok(())
     }
 
