@@ -1,25 +1,30 @@
-//! `bench_runner` — runs the seeded perf-scenario suite and writes
-//! `BENCH.json`; the CI `perf-smoke` job uses `--check` as a regression gate.
+//! `bench_runner` — runs the seeded scenario suite and writes `BENCH.json`;
+//! the CI `perf-smoke` job uses `--check` as a regression gate.
 //!
 //! ```text
-//! bench_runner [--profile ci|full] [--seed N] [--threads N] [--out PATH]
+//! bench_runner [--profile ci|full|paper] [--seed N] [--threads N] [--out PATH]
 //!              [--check BASELINE] [--tolerance F] [--list]
 //! ```
 //!
-//! * `--profile` — scenario sizes (`ci` is small and seconds-fast; default).
+//! * `--profile` — `ci` (small and seconds-fast; default) and `full` run the
+//!   perf scenarios at two sizes; `paper` runs the paper's experiments
+//!   E1–E12 once each, prints their tables and writes them as CSV under
+//!   `target/experiments/`.
 //! * `--seed` — base seed (default 2011); every scenario derives its own.
 //! * `--threads` — worker threads (default: one per CPU). Digests are
 //!   identical at any value.
 //! * `--out` — where to write the JSON report (default `BENCH.json`).
 //! * `--check` — compare against a baseline `BENCH.json`; exit 1 if any
-//!   scenario's wall-clock regresses by more than the tolerance.
+//!   scenario's wall-clock regresses by more than the tolerance or its
+//!   digest differs from the baseline's.
 //! * `--tolerance` — allowed slowdown fraction for `--check` (default 0.25).
-//! * `--list` — print the scenario registry and exit.
+//! * `--list` — print the profile's scenarios and exit.
 //!
 //! Re-baseline with:
 //!
 //! ```text
 //! cargo run --release -p ftspan-bench --bin bench_runner -- --profile ci --out bench/baseline.json
+//! cargo run --release -p ftspan-bench --bin bench_runner -- --profile paper --out bench/paper.json
 //! ```
 
 use ftspan_bench::scenarios::{self, BenchReport, Profile, ScenarioConfig};
@@ -52,7 +57,7 @@ fn parse_args() -> Args {
             "--profile" => {
                 let v = value_of("--profile");
                 args.config.profile = Profile::parse(&v)
-                    .unwrap_or_else(|| panic!("unknown profile `{v}` (expected ci|full)"));
+                    .unwrap_or_else(|| panic!("unknown profile `{v}` (expected ci|full|paper)"));
             }
             "--seed" => {
                 args.config.seed = value_of("--seed").parse().expect("--seed expects a u64");
@@ -75,6 +80,8 @@ fn parse_args() -> Args {
             other => panic!("unknown argument `{other}` (see the bench_runner docs)"),
         }
     }
+    // The profile picks the repeat count (paper runs each scenario once).
+    args.config.repeats = ScenarioConfig::new(args.config.profile).repeats;
     args
 }
 
@@ -83,7 +90,7 @@ fn main() -> ExitCode {
 
     if args.list {
         let mut table = Table::new("scenarios", &["name", "description"]);
-        for s in scenarios::all() {
+        for s in scenarios::for_profile(args.config.profile) {
             table.row(&[s.name, s.description]);
         }
         println!("{}", table.render());
@@ -92,7 +99,7 @@ fn main() -> ExitCode {
 
     println!(
         "running {} scenarios (profile {}, seed {}, threads {})",
-        scenarios::all().len(),
+        scenarios::for_profile(args.config.profile).len(),
         args.config.profile,
         args.config.seed,
         args.config
@@ -101,6 +108,9 @@ fn main() -> ExitCode {
             .unwrap_or_else(|| "auto".to_string()),
     );
     let results = scenarios::run_all(&args.config);
+    for table in results.iter().flat_map(|r| &r.tables) {
+        table.print_and_save();
+    }
 
     let mut table = Table::new(
         "bench",
@@ -150,7 +160,7 @@ fn main() -> ExitCode {
         let regressions = scenarios::compare(&baseline, &results, args.tolerance);
         if regressions.is_empty() {
             println!(
-                "perf gate OK: no scenario regressed more than {:.0}% vs {}",
+                "perf gate OK: every digest matches and no scenario regressed more than {:.0}% vs {}",
                 args.tolerance * 100.0,
                 baseline_path.display()
             );
@@ -160,7 +170,7 @@ fn main() -> ExitCode {
                 eprintln!("  {}", r.message);
             }
             eprintln!(
-                "re-baseline (after verifying the slowdown is intended) with:\n  \
+                "re-baseline (after verifying the slowdown or output change is intended) with:\n  \
                  cargo run --release -p ftspan-bench --bin bench_runner -- --profile {} --out {}",
                 args.config.profile,
                 baseline_path.display()

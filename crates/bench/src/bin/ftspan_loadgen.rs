@@ -651,18 +651,14 @@ fn main() -> ExitCode {
             vec![ScenarioResult {
                 name: "loadgen-net".to_string(),
                 wall_ms: elapsed * 1e3,
-                input_nodes: 0,
-                input_edges: 0,
-                spanner_edges: 0,
-                edges_per_sec: None,
                 queries_per_sec: Some(qps),
-                peak_rss_kb: None,
                 digest: format!(
                     "{:016x}",
                     latency_us.quantile(0.50)
                         ^ latency_us.quantile(0.99).rotate_left(21)
                         ^ queries.rotate_left(42)
                 ),
+                ..ScenarioResult::default()
             }],
         );
         if let Some(dir) = out.parent() {

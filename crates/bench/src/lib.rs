@@ -1,14 +1,13 @@
-//! Shared infrastructure for the experiment binaries and Criterion benches.
+//! The workspace's measurement harness.
 //!
-//! Every experiment binary (one per experiment of DESIGN.md's index, E1–E11)
-//! prints an aligned table to stdout and writes the same rows as CSV under
-//! `target/experiments/`, so EXPERIMENTS.md can quote them directly.
-//!
-//! The [`scenarios`] module is the structured counterpart: a seeded, named
-//! perf-scenario suite whose `bench_runner` binary emits machine-readable
-//! `BENCH.json` results and gates CI against a checked-in baseline.
+//! [`scenarios`] is a seeded, named scenario suite whose `bench_runner`
+//! binary emits machine-readable `BENCH.json` results and gates CI against a
+//! checked-in baseline. Its `paper` profile runs the paper's experiments
+//! E1–E12 ([`paper`]), each of which produces [`Table`]s that `bench_runner`
+//! prints as aligned text and writes as CSV under `target/experiments/`.
 
 pub mod hist;
+pub mod paper;
 pub mod scenarios;
 
 use std::fmt::Display;
@@ -18,7 +17,7 @@ use std::path::PathBuf;
 
 /// A simple experiment table: named columns, rows of values, aligned text
 /// output plus CSV export.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     name: String,
     columns: Vec<String>,
@@ -122,35 +121,6 @@ pub fn fmt(value: f64, decimals: usize) -> String {
     format!("{value:.decimals$}")
 }
 
-/// Parses a `--seed <N>` (or `--seed=<N>`) command-line argument, falling
-/// back to the experiment's historical constant so default runs reproduce
-/// the published tables while `--seed` makes runs comparable across
-/// machines.
-///
-/// # Panics
-///
-/// Panics with a usage message if `--seed` is present but malformed.
-pub fn seed_from_args(default: u64) -> u64 {
-    seed_from(std::env::args().skip(1), default)
-}
-
-fn seed_from<I: Iterator<Item = String>>(mut args: I, default: u64) -> u64 {
-    while let Some(arg) = args.next() {
-        let value = if arg == "--seed" {
-            args.next()
-        } else if let Some(rest) = arg.strip_prefix("--seed=") {
-            Some(rest.to_string())
-        } else {
-            continue;
-        };
-        let value = value.unwrap_or_else(|| panic!("--seed requires a value (u64)"));
-        return value
-            .parse::<u64>()
-            .unwrap_or_else(|_| panic!("--seed expects a u64, got `{value}`"));
-    }
-    default
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,20 +148,5 @@ mod tests {
     fn fmt_rounds() {
         assert_eq!(fmt(1.23456, 2), "1.23");
         assert_eq!(fmt(2.0, 0), "2");
-    }
-
-    #[test]
-    fn seed_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(seed_from(args(&[]).into_iter(), 7), 7);
-        assert_eq!(seed_from(args(&["--seed", "42"]).into_iter(), 7), 42);
-        assert_eq!(seed_from(args(&["--seed=43"]).into_iter(), 7), 43);
-        assert_eq!(seed_from(args(&["--other", "1"]).into_iter(), 7), 7);
-    }
-
-    #[test]
-    #[should_panic]
-    fn malformed_seed_panics() {
-        seed_from(["--seed".to_string(), "xyz".to_string()].into_iter(), 7);
     }
 }

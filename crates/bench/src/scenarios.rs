@@ -1,5 +1,5 @@
-//! The seeded perf-scenario suite behind `bench_runner` and the CI
-//! `perf-smoke` gate.
+//! The seeded scenario suite behind `bench_runner` and the CI `perf-smoke`
+//! gate — the workspace's one measurement harness.
 //!
 //! A **scenario** is a named, fully seeded workload: a graph family at a
 //! profile-dependent size, a registry algorithm (or the serving [`Engine`]),
@@ -10,12 +10,15 @@
 //! digest is what the determinism suite pins: for a fixed seed it must be
 //! identical across runs *and across worker counts*.
 //!
-//! Two [`Profile`]s exist: [`Profile::Ci`] (small sizes, seconds total — what
-//! the CI gate runs) and [`Profile::Full`] (larger sizes for tracking real
-//! trends). [`run_all`] executes every scenario; [`BenchReport`] serializes
-//! the results as `BENCH.json` (dependency-free writer and reader) and
-//! [`compare`] implements the regression gate: any scenario slower than
-//! baseline by more than the tolerance fails.
+//! Three [`Profile`]s exist: [`Profile::Ci`] (small sizes, seconds total —
+//! what the CI gate runs), [`Profile::Full`] (larger sizes for tracking real
+//! trends) and [`Profile::Paper`] (the paper's experiments E1–E12, one
+//! `paper-*` scenario each, whose output is the tables of [`crate::paper`]
+//! and whose digest hashes them). [`run_all`] executes a profile's
+//! scenarios; [`BenchReport`] serializes the results as `BENCH.json`
+//! (dependency-free writer and reader) and [`compare`] implements the
+//! regression gate: any scenario slower than baseline by more than the
+//! tolerance, or whose digest differs from the baseline's, fails.
 //!
 //! Re-baseline with:
 //!
@@ -23,6 +26,7 @@
 //! cargo run --release -p ftspan-bench --bin bench_runner -- --profile ci --out bench/baseline.json
 //! ```
 
+use crate::{paper, Table};
 use fault_tolerant_spanners::prelude::*;
 use fault_tolerant_spanners::{ArtifactStore, Engine, Query, QueryOutcome};
 use ftspan_graph::{DiGraph, Graph};
@@ -37,6 +41,9 @@ pub enum Profile {
     Ci,
     /// Larger sizes for tracking real performance trends.
     Full,
+    /// The paper's experiments: only the `paper-*` scenarios, each run once.
+    /// (A perf scenario run directly under it uses the `full` sizes.)
+    Paper,
 }
 
 impl Profile {
@@ -45,6 +52,7 @@ impl Profile {
         match self {
             Profile::Ci => "ci",
             Profile::Full => "full",
+            Profile::Paper => "paper",
         }
     }
 
@@ -53,6 +61,7 @@ impl Profile {
         match name {
             "ci" => Some(Profile::Ci),
             "full" => Some(Profile::Full),
+            "paper" => Some(Profile::Paper),
             _ => None,
         }
     }
@@ -84,19 +93,20 @@ pub struct ScenarioConfig {
 
 impl ScenarioConfig {
     /// The default configuration for a profile (seed 2011, auto threads,
-    /// best-of-3 timing).
+    /// best-of-3 timing; one run under [`Profile::Paper`], whose tables are
+    /// the output).
     pub fn new(profile: Profile) -> Self {
         ScenarioConfig {
             profile,
             seed: 2011,
             threads: None,
-            repeats: 3,
+            repeats: if profile == Profile::Paper { 1 } else { 3 },
         }
     }
 }
 
 /// The measured outcome of one scenario.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioResult {
     /// Scenario name.
     pub name: String,
@@ -113,15 +123,18 @@ pub struct ScenarioResult {
     pub edges_per_sec: Option<f64>,
     /// Queries answered per second (serving scenarios).
     pub queries_per_sec: Option<f64>,
-    /// Peak resident set size of the bench process when the scenario
-    /// finished, in kilobytes (`VmHWM` from `/proc/self/status`). `None`
-    /// off Linux. Process-wide and monotone over a suite run, so within one
-    /// `BENCH.json` it is the large-n scenarios' number that is meaningful;
-    /// it is recorded, not gated.
+    /// Peak resident set size of the bench process during the scenario, in
+    /// kilobytes (`VmHWM` from `/proc/self/status`, reset to the current
+    /// resident size through `/proc/self/clear_refs` before each run). If
+    /// the reset is refused the mark is process-wide and monotone over a
+    /// suite run. `None` off Linux. Recorded, not gated.
     pub peak_rss_kb: Option<u64>,
     /// FNV-1a digest of the semantic output; seed-stable and worker-count
     /// invariant.
     pub digest: String,
+    /// The tables a paper scenario produced (empty for every other scenario
+    /// and for results read back from JSON).
+    pub tables: Vec<Table>,
 }
 
 /// Peak resident set size of this process in kilobytes, read from the
@@ -131,6 +144,13 @@ fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// Resets the process's `VmHWM` to its current resident size, so the next
+/// [`peak_rss_kb`] reading covers only what ran since. Best effort: where
+/// procfs refuses the write, the mark stays process-wide.
+fn reset_peak_rss() {
+    std::fs::write("/proc/self/clear_refs", "5").ok();
 }
 
 /// FNV-1a, the workspace's dependency-free digest.
@@ -158,6 +178,12 @@ impl Fnv {
 
     fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());
+    }
+
+    /// A string followed by a NUL, so adjacent strings cannot run together.
+    fn write_str(&mut self, s: &str) {
+        self.write_bytes(s.as_bytes());
+        self.write_bytes(&[0]);
     }
 
     fn finish(self) -> u64 {
@@ -244,6 +270,10 @@ enum Workload {
     /// swap the served version between batches — the full read/write wire
     /// path.
     ServeUnderChurn,
+    /// One paper experiment of [`crate::paper`]: the seed in, its tables
+    /// out. Selected by [`Profile::Paper`] only; the experiment fixes its
+    /// own sizes.
+    Paper(fn(u64) -> Vec<Table>),
 }
 
 /// A named, seeded benchmark workload.
@@ -424,14 +454,118 @@ pub fn all() -> Vec<Scenario> {
             description: "network serving interleaved with ApplyDeltas warm swaps over loopback",
             workload: Workload::ServeUnderChurn,
         },
+        Scenario {
+            name: "dk10-gnp",
+            description: "DK10 baseline LP rounding (alpha = Theta(r log n)) on directed G(n, p)",
+            workload: Workload::Construction {
+                algorithm: "dk10",
+                family: Family::DirectedGnp,
+                faults: 1,
+                samples: None,
+            },
+        },
+        Scenario {
+            name: "two-spanner-lll-gnp",
+            description: "Theorem 3.4 Moser-Tardos LLL rounding on directed G(n, p)",
+            workload: Workload::Construction {
+                algorithm: "two-spanner-lll",
+                family: Family::DirectedGnp,
+                faults: 1,
+                samples: None,
+            },
+        },
+        Scenario {
+            name: "distributed-conversion-gnp",
+            description: "Theorem 2.3 distributed conversion (padded decomposition, LOCAL 3-spanner) on connected G(n, p)",
+            workload: Workload::Construction {
+                algorithm: "distributed-conversion",
+                family: Family::Gnp,
+                faults: 1,
+                samples: None,
+            },
+        },
+        Scenario {
+            name: "distributed-two-spanner-gnp",
+            description: "Theorem 3.9 distributed 2-spanner rounding on directed G(n, p)",
+            workload: Workload::Construction {
+                algorithm: "distributed-two-spanner",
+                family: Family::DirectedGnp,
+                faults: 1,
+                samples: None,
+            },
+        },
+        Scenario {
+            name: "paper-e1-size-vs-r",
+            description: "E1: Theorem 2.1 / Corollary 2.2 spanner size vs the fault count r",
+            workload: Workload::Paper(paper::e1_size_vs_r),
+        },
+        Scenario {
+            name: "paper-e2-size-vs-n",
+            description: "E2: Corollary 2.2 spanner size vs n at r = 2",
+            workload: Workload::Paper(paper::e2_size_vs_n),
+        },
+        Scenario {
+            name: "paper-e3-vs-clpr",
+            description: "E3: the conversion vs the CLPR09 union baseline and both bounds",
+            workload: Workload::Paper(paper::e3_vs_clpr),
+        },
+        Scenario {
+            name: "paper-e4-k2-approx",
+            description: "E4: Theorem 3.3 LP rounding vs DK10, approximation ratio vs r",
+            workload: Workload::Paper(paper::e4_k2_approx),
+        },
+        Scenario {
+            name: "paper-e5-integrality-gap",
+            description: "E5: LP (3) vs LP (4) integrality gaps on the gadget and K_n",
+            workload: Workload::Paper(paper::e5_integrality_gap),
+        },
+        Scenario {
+            name: "paper-e6-bounded-degree",
+            description: "E6: Theorem 3.4 LLL rounding vs the log n rounding on bounded degree",
+            workload: Workload::Paper(paper::e6_bounded_degree),
+        },
+        Scenario {
+            name: "paper-e7-distributed",
+            description: "E7: LOCAL rounds and messages of the distributed conversion and 2-spanner",
+            workload: Workload::Paper(paper::e7_distributed),
+        },
+        Scenario {
+            name: "paper-e9-edge-faults",
+            description: "E9: edge-fault vs vertex-fault conversion",
+            workload: Workload::Paper(paper::e9_edge_faults),
+        },
+        Scenario {
+            name: "paper-e10-greedy-vs-lp",
+            description: "E10: LP rounding vs the greedy cover vs the lower bounds",
+            workload: Workload::Paper(paper::e10_greedy_vs_lp),
+        },
+        Scenario {
+            name: "paper-e11-adaptive-alpha",
+            description: "E11: adaptive stopping vs the Theorem 2.1 iteration budget",
+            workload: Workload::Paper(paper::e11_adaptive_alpha),
+        },
+        Scenario {
+            name: "paper-e12-registry-matrix",
+            description: "E12: every registry algorithm on shared instances at r = 1",
+            workload: Workload::Paper(paper::e12_registry_matrix),
+        },
     ]
 }
 
-/// The exact scenario name set, in run order — what `bench_runner --list`
-/// prints and the perf gate tracks (pinned by a unit test so the suite
-/// cannot silently lose a scenario).
-pub fn names() -> Vec<&'static str> {
-    all().iter().map(|s| s.name).collect()
+/// The scenarios a profile runs, in run order: the `paper-*` scenarios
+/// under [`Profile::Paper`], every other scenario under `ci` and `full`.
+pub fn for_profile(profile: Profile) -> Vec<Scenario> {
+    all()
+        .into_iter()
+        .filter(|s| matches!(s.workload, Workload::Paper(_)) == (profile == Profile::Paper))
+        .collect()
+}
+
+/// The exact scenario name set a profile runs, in run order — what
+/// `bench_runner --list` prints and the gate tracks (pinned by a unit test
+/// so the suite cannot silently lose a scenario).
+pub fn names(profile: Profile) -> Vec<&'static str> {
+    for_profile(profile).iter().map(|s| s.name).collect()
 }
 
 /// Looks a scenario up by name.
@@ -475,6 +609,7 @@ impl Scenario {
     }
 
     fn run_once(&self, config: &ScenarioConfig) -> ScenarioResult {
+        reset_peak_rss();
         let mut result = match self.workload {
             Workload::Construction {
                 algorithm,
@@ -493,6 +628,7 @@ impl Scenario {
             Workload::LargeSssp => self.run_sssp_large(config),
             Workload::DeltaReplay => self.run_delta_replay(config),
             Workload::ServeUnderChurn => self.run_serve_under_churn(config),
+            Workload::Paper(experiment) => self.run_paper(config, experiment),
         };
         result.peak_rss_kb = peak_rss_kb();
         result
@@ -562,8 +698,8 @@ impl Scenario {
             spanner_edges: report.size(),
             edges_per_sec: throughput(edges, wall_ms),
             queries_per_sec: None,
-            peak_rss_kb: None,
             digest: format!("{:016x}", digest.finish()),
+            ..ScenarioResult::default()
         }
     }
 
@@ -572,11 +708,11 @@ impl Scenario {
         let mut gen_rng = ChaCha8Rng::seed_from_u64(seed);
         let n = match config.profile {
             Profile::Ci => 40,
-            Profile::Full => 100,
+            Profile::Full | Profile::Paper => 100,
         };
         let p = match config.profile {
             Profile::Ci => 0.12,
-            Profile::Full => 0.06,
+            Profile::Full | Profile::Paper => 0.06,
         };
         let g = generate::connected_gnp(n, p, generate::WeightKind::Unit, &mut gen_rng);
         let engine = backbone_engine(config, &g, "conversion", 1, seed);
@@ -609,8 +745,8 @@ impl Scenario {
             spanner_edges: 0,
             edges_per_sec: None,
             queries_per_sec: throughput(queries.len(), wall_ms),
-            peak_rss_kb: None,
             digest: format!("{:016x}", digest.finish()),
+            ..ScenarioResult::default()
         }
     }
 
@@ -634,8 +770,8 @@ impl Scenario {
             spanner_edges: 0,
             edges_per_sec: None,
             queries_per_sec: throughput(queries.len(), wall_ms),
-            peak_rss_kb: None,
             digest: format!("{:016x}", digest.finish()),
+            ..ScenarioResult::default()
         }
     }
 
@@ -644,7 +780,7 @@ impl Scenario {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let (n, batch) = match config.profile {
             Profile::Ci => (48, 4000),
-            Profile::Full => (120, 24000),
+            Profile::Full | Profile::Paper => (120, 24000),
         };
         let g = generate::connected_gnp(n, 24.0 / n as f64, generate::WeightKind::Unit, &mut rng);
         let engine = backbone_engine(config, &g, "conversion", 1, seed);
@@ -687,8 +823,8 @@ impl Scenario {
             spanner_edges: 0,
             edges_per_sec: None,
             queries_per_sec: throughput(queries.len(), wall_ms),
-            peak_rss_kb: None,
             digest: format!("{:016x}", digest.finish()),
+            ..ScenarioResult::default()
         }
     }
 
@@ -704,7 +840,7 @@ impl Scenario {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let (n, batch, per_request) = match config.profile {
             Profile::Ci => (40, 3000, 50),
-            Profile::Full => (96, 20000, 100),
+            Profile::Full | Profile::Paper => (96, 20000, 100),
         };
         let g = generate::connected_gnp(n, 24.0 / n as f64, generate::WeightKind::Unit, &mut rng);
         let engine = backbone_engine(config, &g, "conversion", 1, seed);
@@ -761,8 +897,8 @@ impl Scenario {
             spanner_edges: 0,
             edges_per_sec: None,
             queries_per_sec: throughput(queries.len(), wall_ms),
-            peak_rss_kb: None,
             digest: format!("{:016x}", digest.finish()),
+            ..ScenarioResult::default()
         }
     }
 
@@ -779,7 +915,7 @@ impl Scenario {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let (n, rounds, churn) = match config.profile {
             Profile::Ci => (40, 6, 6),
-            Profile::Full => (96, 12, 12),
+            Profile::Full | Profile::Paper => (96, 12, 12),
         };
         let g = generate::connected_gnp(n, 24.0 / n as f64, generate::WeightKind::Unit, &mut rng);
         let input_edges = g.edge_count();
@@ -829,8 +965,8 @@ impl Scenario {
             spanner_edges,
             edges_per_sec: throughput(applied_total, wall_ms),
             queries_per_sec: None,
-            peak_rss_kb: None,
             digest: format!("{:016x}", digest.finish()),
+            ..ScenarioResult::default()
         }
     }
 
@@ -846,7 +982,7 @@ impl Scenario {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let (n, rounds, per_round, churn) = match config.profile {
             Profile::Ci => (40, 8, 250, 4),
-            Profile::Full => (96, 12, 1500, 8),
+            Profile::Full | Profile::Paper => (96, 12, 1500, 8),
         };
         let g = generate::connected_gnp(n, 24.0 / n as f64, generate::WeightKind::Unit, &mut rng);
         let artifact = DynamicArtifact::build(&g, dynamic_recipe(config, seed))
@@ -917,8 +1053,8 @@ impl Scenario {
             spanner_edges: 0,
             edges_per_sec: None,
             queries_per_sec: throughput(rounds * per_round, wall_ms),
-            peak_rss_kb: None,
             digest: format!("{:016x}", digest.finish()),
+            ..ScenarioResult::default()
         }
     }
 
@@ -927,7 +1063,7 @@ impl Scenario {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let (n, batch) = match config.profile {
             Profile::Ci => (32, 600),
-            Profile::Full => (72, 2400),
+            Profile::Full | Profile::Paper => (72, 2400),
         };
         // Setup (untimed): build three artifacts and persist them as binary
         // `.ftspan` files.
@@ -988,8 +1124,8 @@ impl Scenario {
             spanner_edges: 0,
             edges_per_sec: None,
             queries_per_sec: throughput(queries.len(), wall_ms),
-            peak_rss_kb: None,
             digest: format!("{:016x}", digest.finish()),
+            ..ScenarioResult::default()
         }
     }
 
@@ -1000,7 +1136,7 @@ impl Scenario {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let (n, p, parts) = match config.profile {
             Profile::Ci => (64, 0.12, 4),
-            Profile::Full => (160, 0.06, 6),
+            Profile::Full | Profile::Paper => (160, 0.06, 6),
         };
         let g = generate::connected_gnp(n, p, generate::WeightKind::Unit, &mut rng);
         let builder = configured_builder(config, "conversion", 1, seed);
@@ -1034,8 +1170,8 @@ impl Scenario {
             spanner_edges: sharded.spanner_edge_count(),
             edges_per_sec: throughput(g.edge_count(), wall_ms),
             queries_per_sec: None,
-            peak_rss_kb: None,
             digest: format!("{:016x}", digest.finish()),
+            ..ScenarioResult::default()
         }
     }
 
@@ -1047,7 +1183,7 @@ impl Scenario {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let (n, parts, batch) = match config.profile {
             Profile::Ci => (48, 3, 2000),
-            Profile::Full => (120, 5, 12000),
+            Profile::Full | Profile::Paper => (120, 5, 12000),
         };
         let g = generate::connected_gnp(n, 24.0 / n as f64, generate::WeightKind::Unit, &mut rng);
         let builder = configured_builder(config, "conversion", 2, seed);
@@ -1088,8 +1224,8 @@ impl Scenario {
             spanner_edges: 0,
             edges_per_sec: None,
             queries_per_sec: throughput(queries.len(), wall_ms),
-            peak_rss_kb: None,
             digest: format!("{:016x}", digest.finish()),
+            ..ScenarioResult::default()
         }
     }
 
@@ -1102,7 +1238,7 @@ impl Scenario {
         let seed = self.seed_for(config.seed);
         let (nodes, edges) = match config.profile {
             Profile::Ci => (100_000, 300_000),
-            Profile::Full => (1_000_000, 4_000_000),
+            Profile::Full | Profile::Paper => (1_000_000, 4_000_000),
         };
         let spec = GeneratorSpec::Gnm {
             nodes,
@@ -1142,8 +1278,8 @@ impl Scenario {
             spanner_edges: artifact.spanner_edge_count(),
             edges_per_sec: throughput(edges, wall_ms),
             queries_per_sec: None,
-            peak_rss_kb: None,
             digest: format!("{:016x}", digest.finish()),
+            ..ScenarioResult::default()
         }
     }
 
@@ -1158,7 +1294,7 @@ impl Scenario {
         let seed = self.seed_for(config.seed);
         let (nodes, edges, sources) = match config.profile {
             Profile::Ci => (100_000, 400_000, 8),
-            Profile::Full => (1_000_000, 4_000_000, 8),
+            Profile::Full | Profile::Paper => (1_000_000, 4_000_000, 8),
         };
         let spec = GeneratorSpec::Gnm {
             nodes,
@@ -1189,8 +1325,35 @@ impl Scenario {
             spanner_edges: 0,
             edges_per_sec: None,
             queries_per_sec: throughput(sources, wall_ms),
-            peak_rss_kb: None,
             digest: format!("{:016x}", digest.finish()),
+            ..ScenarioResult::default()
+        }
+    }
+
+    /// Runs one paper experiment and digests its tables (names, columns and
+    /// cells, in order). A sweep has no single input or output size, so
+    /// those fields stay `0`/`null`.
+    fn run_paper(
+        &self,
+        config: &ScenarioConfig,
+        experiment: fn(u64) -> Vec<Table>,
+    ) -> ScenarioResult {
+        let start = Instant::now();
+        let tables = experiment(self.seed_for(config.seed));
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        let mut digest = Fnv::new();
+        for table in &tables {
+            digest.write_str(&table.name);
+            for cell in table.columns.iter().chain(table.rows.iter().flatten()) {
+                digest.write_str(cell);
+            }
+        }
+        ScenarioResult {
+            name: self.name.to_string(),
+            wall_ms,
+            digest: format!("{:016x}", digest.finish()),
+            tables,
+            ..ScenarioResult::default()
         }
     }
 }
@@ -1321,7 +1484,7 @@ pub fn repeated_fault_workload(config: &ScenarioConfig, seed: u64) -> (Engine, G
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let (n, batch) = match config.profile {
         Profile::Ci => (48, 4000),
-        Profile::Full => (120, 24000),
+        Profile::Full | Profile::Paper => (120, 24000),
     };
     let g = generate::connected_gnp(n, 24.0 / n as f64, generate::WeightKind::Unit, &mut rng);
     let engine = backbone_engine(config, &g, "conversion", 2, seed);
@@ -1392,17 +1555,19 @@ fn undirected_input(family: Family, profile: Profile, rng: &mut ChaCha8Rng) -> G
         (Family::Gnp, Profile::Ci) => {
             generate::connected_gnp(48, 0.15, generate::WeightKind::Unit, rng)
         }
-        (Family::Gnp, Profile::Full) => {
+        (Family::Gnp, Profile::Full | Profile::Paper) => {
             generate::connected_gnp(120, 0.08, generate::WeightKind::Unit, rng)
         }
         (Family::Grid, Profile::Ci) => generate::grid(8, 8),
-        (Family::Grid, Profile::Full) => generate::grid(16, 16),
+        (Family::Grid, Profile::Full | Profile::Paper) => generate::grid(16, 16),
         (Family::NearRegular, Profile::Ci) => generate::random_near_regular(48, 6, rng),
-        (Family::NearRegular, Profile::Full) => generate::random_near_regular(120, 6, rng),
+        (Family::NearRegular, Profile::Full | Profile::Paper) => {
+            generate::random_near_regular(120, 6, rng)
+        }
         (Family::PlanarMesh, Profile::Ci) => planar_mesh_input(8, 9, rng),
-        (Family::PlanarMesh, Profile::Full) => planar_mesh_input(16, 16, rng),
+        (Family::PlanarMesh, Profile::Full | Profile::Paper) => planar_mesh_input(16, 16, rng),
         (Family::Hyperbolic, Profile::Ci) => hyperbolic_input(64, rng),
-        (Family::Hyperbolic, Profile::Full) => hyperbolic_input(160, rng),
+        (Family::Hyperbolic, Profile::Full | Profile::Paper) => hyperbolic_input(160, rng),
         (Family::DirectedGnp, _) => unreachable!("directed families use directed_input"),
     }
 }
@@ -1446,13 +1611,18 @@ fn hyperbolic_input(nodes: usize, rng: &mut ChaCha8Rng) -> Graph {
 fn directed_input(profile: Profile, rng: &mut ChaCha8Rng) -> DiGraph {
     match profile {
         Profile::Ci => generate::directed_gnp(12, 0.35, generate::WeightKind::Unit, rng),
-        Profile::Full => generate::directed_gnp(18, 0.3, generate::WeightKind::Unit, rng),
+        Profile::Full | Profile::Paper => {
+            generate::directed_gnp(18, 0.3, generate::WeightKind::Unit, rng)
+        }
     }
 }
 
-/// Runs every scenario of the suite under `config`, in suite order.
+/// Runs every scenario of `config.profile`, in suite order.
 pub fn run_all(config: &ScenarioConfig) -> Vec<ScenarioResult> {
-    all().iter().map(|s| s.run(config)).collect()
+    for_profile(config.profile)
+        .iter()
+        .map(|s| s.run(config))
+        .collect()
 }
 
 /// A full `BENCH.json` document: the configuration plus one result per
@@ -1550,17 +1720,7 @@ impl BenchReport {
                 continue;
             }
             if line == "{" {
-                current = Some(ScenarioResult {
-                    name: String::new(),
-                    wall_ms: 0.0,
-                    input_nodes: 0,
-                    input_edges: 0,
-                    spanner_edges: 0,
-                    edges_per_sec: None,
-                    queries_per_sec: None,
-                    peak_rss_kb: None,
-                    digest: String::new(),
-                });
+                current = Some(ScenarioResult::default());
                 continue;
             }
             if line == "}" {
@@ -1632,9 +1792,10 @@ pub const ABSOLUTE_GRACE_MS: f64 = 1.0;
 ///
 /// A scenario **fails** when its wall-clock exceeds
 /// `baseline * (1 + tolerance) + ABSOLUTE_GRACE_MS` (tolerance 0.25 = 25%),
-/// or when it exists in the baseline but not in the current run. Scenarios
-/// new in the current run pass (they have no baseline yet — re-baseline to
-/// start tracking them).
+/// when its digest differs from the baseline's (its output changed), or
+/// when it exists in the baseline but not in the current run. Scenarios new
+/// in the current run pass (they have no baseline yet — re-baseline to start
+/// tracking them).
 pub fn compare(
     baseline: &BenchReport,
     current: &[ScenarioResult],
@@ -1652,6 +1813,15 @@ pub fn compare(
             });
             continue;
         };
+        if now.digest != base.digest {
+            regressions.push(Regression {
+                scenario: base.name.clone(),
+                message: format!(
+                    "scenario `{}` changed its output: digest {} vs baseline {}",
+                    base.name, now.digest, base.digest
+                ),
+            });
+        }
         let budget = base.wall_ms * (1.0 + tolerance) + ABSOLUTE_GRACE_MS;
         if now.wall_ms > budget {
             regressions.push(Regression {
@@ -1685,6 +1855,7 @@ mod tests {
             queries_per_sec: None,
             peak_rss_kb: Some(4096),
             digest: "00ff00ff00ff00ff".to_string(),
+            tables: Vec::new(),
         }
     }
 
@@ -1713,7 +1884,7 @@ mod tests {
         // tracks. A scenario can only be added or removed by updating this
         // test (and re-baselining) — the gate cannot silently lose one.
         assert_eq!(
-            names(),
+            names(Profile::Ci),
             vec![
                 "conversion-gnp",
                 "conversion-grid",
@@ -1737,6 +1908,27 @@ mod tests {
                 "sssp-large",
                 "delta-replay",
                 "serve-under-churn",
+                "dk10-gnp",
+                "two-spanner-lll-gnp",
+                "distributed-conversion-gnp",
+                "distributed-two-spanner-gnp",
+            ]
+        );
+        assert_eq!(names(Profile::Full), names(Profile::Ci));
+        assert_eq!(
+            names(Profile::Paper),
+            vec![
+                "paper-e1-size-vs-r",
+                "paper-e2-size-vs-n",
+                "paper-e3-vs-clpr",
+                "paper-e4-k2-approx",
+                "paper-e5-integrality-gap",
+                "paper-e6-bounded-degree",
+                "paper-e7-distributed",
+                "paper-e9-edge-faults",
+                "paper-e10-greedy-vs-lp",
+                "paper-e11-adaptive-alpha",
+                "paper-e12-registry-matrix",
             ]
         );
     }
@@ -1813,18 +2005,24 @@ mod tests {
             vec![
                 result("stable", 10.0),
                 result("slow", 10.0),
+                result("changed", 10.0),
                 result("gone", 1.0),
             ],
         );
         let current = vec![
-            result("stable", 13.4),    // within 25% + 1 ms grace of 10 ms
-            result("slow", 14.0),      // beyond the 13.5 ms budget — regression
+            result("stable", 13.4), // within 25% + 1 ms grace of 10 ms
+            result("slow", 14.0),   // beyond the 13.5 ms budget — regression
+            ScenarioResult {
+                digest: "0123456789abcdef".to_string(), // faster, but different output
+                ..result("changed", 9.0)
+            },
             result("brand-new", 99.0), // no baseline — passes
         ];
         let regressions = compare(&baseline, &current, 0.25);
         let names: Vec<&str> = regressions.iter().map(|r| r.scenario.as_str()).collect();
-        assert_eq!(names, vec!["slow", "gone"]);
+        assert_eq!(names, vec!["slow", "changed", "gone"]);
         assert!(regressions[0].message.contains("regressed"));
+        assert!(regressions[1].message.contains("digest"));
     }
 
     #[test]

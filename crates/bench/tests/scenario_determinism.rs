@@ -6,9 +6,10 @@ use ftspan_bench::scenarios::{self, Profile, ScenarioConfig};
 
 /// The cheap construction scenarios plus the serving scenarios — enough to
 /// cover every digest path (undirected, directed, engine, planner, store)
-/// while keeping the suite fast. The full-suite sweep lives in
+/// while keeping the suite fast — and the two cheapest paper experiments,
+/// which pin the table digests. The full-suite sweep lives in
 /// `bench_runner` itself.
-const PINNED: [&str; 13] = [
+const PINNED: [&str; 15] = [
     "conversion-gnp",
     "conversion-grid",
     "two-spanner-greedy-gnp",
@@ -22,6 +23,8 @@ const PINNED: [&str; 13] = [
     "sssp-large",
     "delta-replay",
     "serve-under-churn",
+    "paper-e7-distributed",
+    "paper-e12-registry-matrix",
 ];
 
 #[test]
