@@ -564,6 +564,10 @@ fn main() -> ExitCode {
                     "cache_hit_rate".to_string(),
                     format!("{:.3}", engine.hit_rate()),
                 ]);
+                table.row(&[
+                    "sssp_half_edges".to_string(),
+                    engine.sssp_half_edges.to_string(),
+                ]);
                 table.row(&["swaps".to_string(), engine.swaps.to_string()]);
                 table.row(&[
                     "deltas_applied".to_string(),

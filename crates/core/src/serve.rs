@@ -14,14 +14,15 @@
 //!   [`FtSpanner::under_edge_faults`]): masks a concrete fault set *without
 //!   copying* and answers [`distance`](FaultSession::distance),
 //!   [`path`](FaultSession::path) and
-//!   [`stretch_certificate`](FaultSession::stretch_certificate) queries.
+//!   [`stretch_certificate`](FaultSession::stretch_certificate) queries,
+//!   each by a Dijkstra run that stops once its target's distance is final.
 //!   Fault sets larger than the declared budget `r` are rejected with the
 //!   typed [`CoreError::TooManyFaults`].
 //! * [`CachedSession`] — a session with a bounded LRU of per-source
-//!   shortest-path trees ([`FaultSession::cached`]): serving batches
-//!   dominated by repeated `(source, fault scope)` pairs reuse one Dijkstra
-//!   tree per source instead of recomputing per query, with answers
-//!   byte-identical to the plain session at any capacity.
+//!   suspended shortest-path traversals ([`FaultSession::cached`]): serving
+//!   batches dominated by repeated `(source, fault scope)` pairs resume one
+//!   Dijkstra run per source instead of starting one per query, with
+//!   answers byte-identical to the plain session at any capacity.
 //! * One round-trip serialization so artifacts can be built once and served
 //!   many times, on other machines, with no extra dependencies: the binary
 //!   `.ftspan` format, a fixed-width, 8-byte-aligned section table
@@ -1049,6 +1050,34 @@ impl StretchCertificate {
     pub fn holds(&self) -> bool {
         self.stretch <= self.bound + EPS
     }
+
+    /// The certificate for `(u, v)` read off a spanner-side and a
+    /// baseline-side traversal from `u`, each far enough along that `v`'s
+    /// distance is final.
+    fn from_trees(
+        u: NodeId,
+        v: NodeId,
+        bound: f64,
+        spanner: &SsspWorkspace,
+        baseline: &SsspWorkspace,
+    ) -> Self {
+        let spanner_distance = spanner.distances()[v.index()];
+        let baseline_distance = baseline.distances()[v.index()];
+        let stretch = if baseline_distance == 0.0 || baseline_distance.is_infinite() {
+            1.0
+        } else {
+            spanner_distance / baseline_distance
+        };
+        StretchCertificate {
+            u,
+            v,
+            spanner_distance,
+            baseline_distance,
+            stretch,
+            bound,
+            path: reconstruct_path(spanner.parents(), spanner.distances(), u, v),
+        }
+    }
 }
 
 impl<'a> FaultSession<'a> {
@@ -1077,6 +1106,16 @@ impl<'a> FaultSession<'a> {
         (self.dead_nodes.as_deref(), self.dead_edges.as_deref())
     }
 
+    /// A traversal of `csr` from `u` under this session's faults, run only
+    /// until `v`'s distance is final ([`CsrSubgraph::sssp_toward`]).
+    fn toward(&self, csr: &CsrSubgraph, u: NodeId, v: NodeId) -> Result<SsspWorkspace> {
+        let (dead, dead_edges) = self.masks();
+        let mut workspace = SsspWorkspace::new();
+        csr.sssp_toward(u, v, dead, dead_edges, &mut workspace)
+            .map_err(CoreError::Graph)?;
+        Ok(workspace)
+    }
+
     /// Shortest-path distance from `u` to `v` in the surviving spanner
     /// `H \ F` (`INFINITY` when disconnected or an endpoint has failed).
     ///
@@ -1086,13 +1125,8 @@ impl<'a> FaultSession<'a> {
     pub fn distance(&self, u: NodeId, v: NodeId) -> Result<f64> {
         self.check_node(u)?;
         self.check_node(v)?;
-        let (dead, dead_edges) = self.masks();
-        let dist = self
-            .artifact
-            .spanner_csr
-            .sssp(u, dead, dead_edges)
-            .map_err(CoreError::Graph)?;
-        Ok(dist[v.index()])
+        let tree = self.toward(&self.artifact.spanner_csr, u, v)?;
+        Ok(tree.distances()[v.index()])
     }
 
     /// All shortest-path distances from `u` in the surviving spanner (one
@@ -1119,13 +1153,8 @@ impl<'a> FaultSession<'a> {
     pub fn path(&self, u: NodeId, v: NodeId) -> Result<Option<Vec<NodeId>>> {
         self.check_node(u)?;
         self.check_node(v)?;
-        let (dead, dead_edges) = self.masks();
-        let (dist, parents) = self
-            .artifact
-            .spanner_csr
-            .sssp_with_parents(u, dead, dead_edges)
-            .map_err(CoreError::Graph)?;
-        Ok(reconstruct_path(&parents, &dist, u, v))
+        let tree = self.toward(&self.artifact.spanner_csr, u, v)?;
+        Ok(reconstruct_path(tree.parents(), tree.distances(), u, v))
     }
 
     /// Distance from `u` to `v` in the surviving *source* graph `G \ F` —
@@ -1137,13 +1166,8 @@ impl<'a> FaultSession<'a> {
     pub fn baseline_distance(&self, u: NodeId, v: NodeId) -> Result<f64> {
         self.check_node(u)?;
         self.check_node(v)?;
-        let (dead, dead_edges) = self.masks();
-        let dist = self
-            .artifact
-            .source_csr
-            .sssp(u, dead, dead_edges)
-            .map_err(CoreError::Graph)?;
-        Ok(dist[v.index()])
+        let tree = self.toward(&self.artifact.source_csr, u, v)?;
+        Ok(tree.distances()[v.index()])
     }
 
     /// All shortest-path distances from `u` in the surviving *source* graph
@@ -1173,28 +1197,15 @@ impl<'a> FaultSession<'a> {
     pub fn stretch_certificate(&self, u: NodeId, v: NodeId) -> Result<StretchCertificate> {
         self.check_node(u)?;
         self.check_node(v)?;
-        let (dead, dead_edges) = self.masks();
-        let (dist, parents) = self
-            .artifact
-            .spanner_csr
-            .sssp_with_parents(u, dead, dead_edges)
-            .map_err(CoreError::Graph)?;
-        let spanner_distance = dist[v.index()];
-        let baseline_distance = self.baseline_distance(u, v)?;
-        let stretch = if baseline_distance == 0.0 || baseline_distance.is_infinite() {
-            1.0
-        } else {
-            spanner_distance / baseline_distance
-        };
-        Ok(StretchCertificate {
+        let spanner = self.toward(&self.artifact.spanner_csr, u, v)?;
+        let baseline = self.toward(&self.artifact.source_csr, u, v)?;
+        Ok(StretchCertificate::from_trees(
             u,
             v,
-            spanner_distance,
-            baseline_distance,
-            stretch,
-            bound: self.artifact.stretch,
-            path: reconstruct_path(&parents, &dist, u, v),
-        })
+            self.artifact.stretch,
+            &spanner,
+            &baseline,
+        ))
     }
 
     /// Worst realized stretch over every surviving edge of the source graph
@@ -1223,7 +1234,7 @@ impl<'a> FaultSession<'a> {
     }
 
     /// Wraps this session in a [`CachedSession`] whose bounded LRU source
-    /// cache reuses one Dijkstra tree per query source.
+    /// cache keeps one suspended Dijkstra traversal per query source.
     ///
     /// `capacity` is the number of distinct sources kept (`0` disables
     /// caching entirely — every query recomputes, exactly like the plain
@@ -1234,9 +1245,9 @@ impl<'a> FaultSession<'a> {
             session: self,
             capacity,
             trees: Vec::new(),
-            workspace: SsspWorkspace::new(),
             hits: 0,
             misses: 0,
+            half_edges: 0,
         }
     }
 }
@@ -1244,15 +1255,19 @@ impl<'a> FaultSession<'a> {
 /// A snapshot of a [`CachedSession`]'s source-cache counters
 /// ([`CachedSession::cache_stats`]).
 ///
-/// Hits are queries answered from a resident per-source Dijkstra tree;
-/// misses ran a full traversal. The counters are observability only — they
-/// never influence answers.
+/// Hits are queries from a source whose traversal was resident (answered
+/// from it, or by resuming it); misses started a new traversal. The
+/// counters are observability only — they never influence answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Queries answered from a cached tree.
+    /// Queries from a source whose traversal was resident.
     pub hits: u64,
-    /// Queries that had to run Dijkstra.
+    /// Queries that started a new traversal.
     pub misses: u64,
+    /// Half-edges scanned by every traversal the session ran, spanner and
+    /// baseline side ([`SsspWorkspace::half_edges_scanned`]): its
+    /// shortest-path work, independent of timing.
+    pub sssp_half_edges: u64,
 }
 
 impl CacheStats {
@@ -1262,30 +1277,36 @@ impl CacheStats {
     }
 }
 
-/// One cached shortest-path tree of a [`CachedSession`]: the spanner-side
-/// distances and parents from a source, plus the lazily computed baseline
-/// distances (only certificate queries need them).
+/// One cached source of a [`CachedSession`]: the spanner-side traversal
+/// from it, suspended as soon as its last target was settled, plus the
+/// source-graph traversal that certificate queries start lazily.
 #[derive(Debug, Clone)]
 struct CachedTree {
     source: NodeId,
-    dist: Vec<f64>,
-    parents: Vec<Option<NodeId>>,
-    baseline: Option<Vec<f64>>,
+    spanner: SsspWorkspace,
+    baseline: Option<SsspWorkspace>,
 }
 
 /// A [`FaultSession`] with a bounded LRU cache of per-source shortest-path
-/// trees, created by [`FaultSession::cached`].
+/// traversals, created by [`FaultSession::cached`].
 ///
-/// Serving batches are dominated by repeated `(source, fault scope)` pairs;
-/// a `distance`, `path` or `stretch_certificate` query from a source whose
-/// tree is cached costs an array lookup (plus a path walk) instead of a full
-/// Dijkstra. Cache misses compute through a reusable [`SsspWorkspace`], so
-/// even a cold cache allocates less than the plain session.
+/// Serving batches are dominated by repeated `(source, fault scope)` pairs.
+/// Each cached source keeps its traversal **suspended**: its own queue,
+/// distances and parents, stopped as soon as the distance of the last
+/// target asked for was final ([`CsrSubgraph::sssp_toward`]). A later
+/// query from that source whose target is already settled costs an array
+/// lookup (plus a path walk); one whose target is not yet settled resumes
+/// the same traversal ([`CsrSubgraph::sssp_resume`]) only as far as that
+/// target needs. Both count as a **hit**; a **miss** starts a new
+/// traversal, evicting the least recently used source when the cache is
+/// full. `distances_from` and `baseline_distances_from` run the traversal
+/// to completion.
 ///
 /// The cache is **observationally transparent**: for every query and every
 /// capacity (including `0` = off), the answer is byte-identical to the
-/// underlying [`FaultSession`]'s. Methods take `&mut self` only to maintain
-/// the cache.
+/// underlying [`FaultSession`]'s — a suspended traversal is a prefix of the
+/// full one, so whatever it has settled is settled exactly as the full run
+/// settles it. Methods take `&mut self` only to maintain the cache.
 ///
 /// The recency list is a plain `Vec` scanned linearly, a deliberate
 /// small-capacity design: at the tens-to-hundreds of sources a serving
@@ -1297,9 +1318,10 @@ pub struct CachedSession<'a> {
     capacity: usize,
     /// LRU order: least recently used first, most recent last.
     trees: Vec<CachedTree>,
-    workspace: SsspWorkspace,
     hits: u64,
     misses: u64,
+    /// Half-edges scanned by every traversal this session ran.
+    half_edges: u64,
 }
 
 impl<'a> CachedSession<'a> {
@@ -1318,82 +1340,96 @@ impl<'a> CachedSession<'a> {
         self.capacity
     }
 
-    /// Number of queries answered from a cached tree.
+    /// Number of queries from a source whose traversal was resident.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Number of queries that had to run Dijkstra.
+    /// Number of queries that started a new traversal.
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
-    /// A snapshot of the hit/miss counters (the serving engine aggregates
-    /// these across planned groups into its `EngineStats` surface).
+    /// A snapshot of the hit/miss and work counters (the serving engine
+    /// aggregates these across planned groups into its `EngineStats`
+    /// surface).
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
+            sssp_half_edges: self.half_edges,
         }
     }
 
-    /// Ensures the tree rooted at `u` is resident and returns its index
-    /// (always the most-recent slot, `self.trees.len() - 1`).
-    fn ensure_tree(&mut self, u: NodeId) -> Result<usize> {
+    /// Ensures the traversal from `u` is resident and has settled `target`
+    /// (or run to completion, for `None`), and returns its index (always
+    /// the most-recent slot, `self.trees.len() - 1`).
+    fn ensure_tree(&mut self, u: NodeId, target: Option<NodeId>) -> Result<usize> {
         self.session.check_node(u)?;
-        if self.capacity > 0 {
-            if let Some(i) = self.trees.iter().position(|t| t.source == u) {
-                self.hits += 1;
-                let tree = self.trees.remove(i);
-                self.trees.push(tree);
-                return Ok(self.trees.len() - 1);
-            }
+        let (dead, dead_edges) = self.session.masks();
+        let csr = &self.session.artifact.spanner_csr;
+        let resident = match self.capacity {
+            0 => None,
+            _ => self.trees.iter().position(|t| t.source == u),
+        };
+        if let Some(i) = resident {
+            self.hits += 1;
+            let mut tree = self.trees.remove(i);
+            let before = tree.spanner.half_edges_scanned();
+            let resumed = csr.sssp_resume(target, dead, dead_edges, &mut tree.spanner);
+            self.half_edges += tree.spanner.half_edges_scanned() - before;
+            self.trees.push(tree);
+            resumed.map_err(CoreError::Graph)?;
+            return Ok(self.trees.len() - 1);
         }
         self.misses += 1;
-        let (dead, dead_edges) = (
-            self.session.dead_nodes.as_deref(),
-            self.session.dead_edges.as_deref(),
-        );
-        self.session
-            .artifact
-            .spanner_csr
-            .sssp_into(u, dead, dead_edges, None, &mut self.workspace)
-            .map_err(CoreError::Graph)?;
-        let tree = CachedTree {
-            source: u,
-            dist: self.workspace.distances().to_vec(),
-            parents: self.workspace.parents().to_vec(),
-            baseline: None,
-        };
-        if self.capacity == 0 {
-            self.trees.clear();
+        // The evicted source's workspace carries the new traversal.
+        let evicted = if self.trees.len() >= self.capacity.max(1) {
+            Some(self.trees.remove(0))
         } else {
-            while self.trees.len() >= self.capacity {
-                self.trees.remove(0);
-            }
-        }
-        self.trees.push(tree);
+            None
+        };
+        let mut spanner = evicted.map(|t| t.spanner).unwrap_or_default();
+        let started = match target {
+            Some(v) => csr.sssp_toward(u, v, dead, dead_edges, &mut spanner),
+            None => csr.sssp_into(u, dead, dead_edges, None, &mut spanner),
+        };
+        started.map_err(CoreError::Graph)?;
+        self.half_edges += spanner.half_edges_scanned();
+        self.trees.push(CachedTree {
+            source: u,
+            spanner,
+            baseline: None,
+        });
         Ok(self.trees.len() - 1)
     }
 
-    /// Ensures the baseline (source-graph) distances of the tree at `slot`
-    /// are computed.
-    fn ensure_baseline(&mut self, slot: usize) -> Result<()> {
-        if self.trees[slot].baseline.is_some() {
-            return Ok(());
-        }
-        let u = self.trees[slot].source;
-        let (dead, dead_edges) = (
-            self.session.dead_nodes.as_deref(),
-            self.session.dead_edges.as_deref(),
-        );
-        self.session
-            .artifact
-            .source_csr
-            .sssp_into(u, dead, dead_edges, None, &mut self.workspace)
-            .map_err(CoreError::Graph)?;
-        self.trees[slot].baseline = Some(self.workspace.distances().to_vec());
-        Ok(())
+    /// Ensures the baseline (source-graph) traversal of the tree at `slot`
+    /// has settled `target` (or run to completion, for `None`), starting it
+    /// on first use.
+    fn ensure_baseline(&mut self, slot: usize, target: Option<NodeId>) -> Result<&SsspWorkspace> {
+        let (dead, dead_edges) = self.session.masks();
+        let csr = &self.session.artifact.source_csr;
+        let tree = &mut self.trees[slot];
+        let run = match &mut tree.baseline {
+            Some(baseline) => {
+                let before = baseline.half_edges_scanned();
+                let resumed = csr.sssp_resume(target, dead, dead_edges, baseline);
+                self.half_edges += baseline.half_edges_scanned() - before;
+                resumed
+            }
+            None => {
+                let baseline = tree.baseline.insert(SsspWorkspace::new());
+                let started = match target {
+                    Some(v) => csr.sssp_toward(tree.source, v, dead, dead_edges, baseline),
+                    None => csr.sssp_into(tree.source, dead, dead_edges, None, baseline),
+                };
+                self.half_edges += baseline.half_edges_scanned();
+                started
+            }
+        };
+        run.map_err(CoreError::Graph)?;
+        Ok(tree.baseline.as_ref().expect("just ensured"))
     }
 
     /// Shortest-path distance from `u` to `v` in the surviving spanner
@@ -1407,8 +1443,8 @@ impl<'a> CachedSession<'a> {
         // error values are identical too.
         self.session.check_node(u)?;
         self.session.check_node(v)?;
-        let slot = self.ensure_tree(u)?;
-        Ok(self.trees[slot].dist[v.index()])
+        let slot = self.ensure_tree(u, Some(v))?;
+        Ok(self.trees[slot].spanner.distances()[v.index()])
     }
 
     /// All shortest-path distances from `u` in the surviving spanner
@@ -1418,8 +1454,8 @@ impl<'a> CachedSession<'a> {
     ///
     /// Returns [`CoreError::UnknownNode`] if `u` is out of bounds.
     pub fn distances_from(&mut self, u: NodeId) -> Result<Vec<f64>> {
-        let slot = self.ensure_tree(u)?;
-        Ok(self.trees[slot].dist.clone())
+        let slot = self.ensure_tree(u, None)?;
+        Ok(self.trees[slot].spanner.distances().to_vec())
     }
 
     /// All baseline (source-graph) distances from `u` (identical to
@@ -1430,9 +1466,10 @@ impl<'a> CachedSession<'a> {
     ///
     /// Returns [`CoreError::UnknownNode`] if `u` is out of bounds.
     pub fn baseline_distances_from(&mut self, u: NodeId) -> Result<Vec<f64>> {
-        let slot = self.ensure_tree(u)?;
-        self.ensure_baseline(slot)?;
-        Ok(self.trees[slot].baseline.clone().expect("just ensured"))
+        // Settling `u` itself gives the source its cache slot without
+        // expanding the spanner side.
+        let slot = self.ensure_tree(u, Some(u))?;
+        Ok(self.ensure_baseline(slot, None)?.distances().to_vec())
     }
 
     /// A shortest surviving spanner path from `u` to `v` (identical to
@@ -1444,9 +1481,9 @@ impl<'a> CachedSession<'a> {
     pub fn path(&mut self, u: NodeId, v: NodeId) -> Result<Option<Vec<NodeId>>> {
         self.session.check_node(u)?;
         self.session.check_node(v)?;
-        let slot = self.ensure_tree(u)?;
-        let tree = &self.trees[slot];
-        Ok(reconstruct_path(&tree.parents, &tree.dist, u, v))
+        let slot = self.ensure_tree(u, Some(v))?;
+        let tree = &self.trees[slot].spanner;
+        Ok(reconstruct_path(tree.parents(), tree.distances(), u, v))
     }
 
     /// A [`StretchCertificate`] for the pair `(u, v)` (identical to
@@ -1458,25 +1495,16 @@ impl<'a> CachedSession<'a> {
     pub fn stretch_certificate(&mut self, u: NodeId, v: NodeId) -> Result<StretchCertificate> {
         self.session.check_node(u)?;
         self.session.check_node(v)?;
-        let slot = self.ensure_tree(u)?;
-        self.ensure_baseline(slot)?;
+        let slot = self.ensure_tree(u, Some(v))?;
+        self.ensure_baseline(slot, Some(v))?;
         let tree = &self.trees[slot];
-        let spanner_distance = tree.dist[v.index()];
-        let baseline_distance = tree.baseline.as_ref().expect("just ensured")[v.index()];
-        let stretch = if baseline_distance == 0.0 || baseline_distance.is_infinite() {
-            1.0
-        } else {
-            spanner_distance / baseline_distance
-        };
-        Ok(StretchCertificate {
+        Ok(StretchCertificate::from_trees(
             u,
             v,
-            spanner_distance,
-            baseline_distance,
-            stretch,
-            bound: self.session.artifact.stretch,
-            path: reconstruct_path(&tree.parents, &tree.dist, u, v),
-        })
+            self.session.artifact.stretch,
+            &tree.spanner,
+            tree.baseline.as_ref().expect("just ensured"),
+        ))
     }
 }
 
@@ -2002,6 +2030,99 @@ mod tests {
             assert_eq!(cached.capacity(), capacity);
             assert_eq!(cached.session().fault_count(), 2);
             assert_eq!(cached.artifact().node_count(), n);
+        }
+
+        // Interleaved near and far targets from two sources, under vertex
+        // faults and under edge faults: every answer must match a full
+        // traversal's, whether the source's suspended traversal already
+        // settled the target, was resumed to it, or was started afresh.
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let g = generate::connected_gnp(16, 0.35, generate::WeightKind::Unit, &mut rng);
+        let report = Registry::from_algorithms(core_algorithms())
+            .get("edge-fault")
+            .unwrap()
+            .build((&g).into(), &SpannerRequest::new(1), &mut rng)
+            .unwrap();
+        let edge_artifact = FtSpanner::from_report(&g, &report).unwrap();
+        let cut = *g.edge(edge_artifact.spanner_edges().iter().next().unwrap());
+        let scopes = [
+            (&artifact, artifact.under_faults(&faults).unwrap()),
+            (
+                &edge_artifact,
+                edge_artifact.under_edge_faults(&[(cut.u, cut.v)]).unwrap(),
+            ),
+        ];
+        for (art, plain) in scopes {
+            let n = art.node_count();
+            let (dead, dead_edges) = plain.masks();
+            let sources = [NodeId::new(0), NodeId::new(n / 2)];
+            let mut full_work = 0;
+            let mut full = Vec::new();
+            let mut baseline = Vec::new();
+            for &s in &sources {
+                let mut ws = SsspWorkspace::new();
+                art.spanner_csr
+                    .sssp_into(s, dead, dead_edges, None, &mut ws)
+                    .unwrap();
+                full_work += ws.half_edges_scanned();
+                full.push(ws.clone());
+                art.source_csr
+                    .sssp_into(s, dead, dead_edges, None, &mut ws)
+                    .unwrap();
+                full_work += ws.half_edges_scanned();
+                baseline.push(ws);
+            }
+            // Targets by ascending full-run distance from each source.
+            let by_distance: Vec<Vec<NodeId>> = full
+                .iter()
+                .map(|ws| {
+                    let mut order: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+                    order.sort_by(|a, b| {
+                        ws.distances()[a.index()].total_cmp(&ws.distances()[b.index()])
+                    });
+                    order
+                })
+                .collect();
+            for (capacity, misses) in [(0usize, 6 * n + 2), (1, 2 * n + 2), (64, 2)] {
+                let mut cached = plain.clone().cached(capacity);
+                for step in 0..n {
+                    for (k, &s) in sources.iter().enumerate() {
+                        let t = match step % 2 {
+                            0 => by_distance[k][step / 2],
+                            _ => by_distance[k][n - 1 - step / 2],
+                        };
+                        let (dist, parents) = (full[k].distances(), full[k].parents());
+                        let d = cached.distance(s, t).unwrap();
+                        assert_eq!(d.to_bits(), dist[t.index()].to_bits());
+                        assert_eq!(
+                            cached.path(s, t).unwrap(),
+                            reconstruct_path(parents, dist, s, t)
+                        );
+                        let certificate = cached.stretch_certificate(s, t).unwrap();
+                        assert_eq!(
+                            certificate.baseline_distance.to_bits(),
+                            baseline[k].distances()[t.index()].to_bits()
+                        );
+                        assert_eq!(certificate, plain.stretch_certificate(s, t).unwrap());
+                    }
+                }
+                assert_eq!(
+                    cached.distances_from(sources[0]).unwrap(),
+                    full[0].distances()
+                );
+                assert_eq!(
+                    cached.baseline_distances_from(sources[1]).unwrap(),
+                    baseline[1].distances()
+                );
+                let stats = cached.cache_stats();
+                assert_eq!(stats.misses, misses as u64, "capacity {capacity}");
+                assert_eq!(stats.total(), 6 * n as u64 + 2);
+                if capacity == 64 {
+                    // Resumed, never restarted: each traversal does at most
+                    // the work of one full run.
+                    assert!(stats.sssp_half_edges <= full_work);
+                }
+            }
         }
     }
 

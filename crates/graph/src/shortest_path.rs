@@ -332,6 +332,9 @@ pub struct BucketQueue {
     cursor: u64,
     /// Number of entries across all buckets (including stale ones).
     live: usize,
+    /// `true` when `reset` had to cap the ring below the weight span, so
+    /// distant buckets may share a slot and drain out of order.
+    capped: bool,
 }
 
 impl BucketQueue {
@@ -367,13 +370,15 @@ impl BucketQueue {
             1.0
         };
         let span = if max_weight.is_finite() && max_weight > 0.0 {
-            // Cap the ring: an undersized ring only wraps distant buckets
-            // onto each other (processed out of order but still correct —
-            // the relaxation fixpoint does not depend on drain order).
-            ((max_weight / delta).ceil() as usize).min(1 << 16)
+            (max_weight / delta).ceil() as usize
         } else {
             0
         };
+        // Cap the ring: an undersized ring only wraps distant buckets onto
+        // each other (processed out of order but still correct — the
+        // relaxation fixpoint does not depend on drain order).
+        self.capped = span > 1 << 16;
+        let span = span.min(1 << 16);
         let want = span.saturating_add(3);
         if self.buckets.len() < want {
             self.buckets.resize_with(want, Vec::new);
@@ -421,6 +426,35 @@ impl BucketQueue {
     /// Returns `true` if no entries (stale or not) remain queued.
     pub fn is_empty(&self) -> bool {
         self.live == 0
+    }
+
+    /// Moves the drain cursor to the lowest non-empty bucket — the one the
+    /// next [`BucketQueue::pop`] drains, so the pop sequence is unchanged —
+    /// and returns its absolute index (`None` when the queue is empty).
+    ///
+    /// Unless the ring is [capped](BucketQueue::is_capped), every queued
+    /// entry then has `(dist / delta) as u64` at least this index, so no
+    /// entry can still lower a tentative distance below `index * delta`.
+    pub(crate) fn next_bucket(&mut self) -> Option<u64> {
+        if self.live == 0 {
+            return None;
+        }
+        let ring = self.buckets.len() as u64;
+        while self.buckets[(self.cursor % ring) as usize].is_empty() {
+            self.cursor += 1;
+        }
+        Some(self.cursor)
+    }
+
+    /// The bucket width set by the last [`BucketQueue::reset`].
+    pub(crate) fn delta(&self) -> f64 {
+        self.delta
+    }
+
+    /// `true` when the last [`BucketQueue::reset`] capped the ring, so
+    /// bucket indices no longer bound the queued distances.
+    pub(crate) fn is_capped(&self) -> bool {
+        self.capped
     }
 }
 

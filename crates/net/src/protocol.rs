@@ -62,8 +62,9 @@ pub const PROTOCOL_MAGIC: [u8; 4] = *b"FTNW";
 /// with [`NetError::VersionSkew`] instead of misinterpreting payloads.
 ///
 /// Version 2 added the [`Request::ApplyDeltas`] / [`Response::DeltasApplied`]
-/// frames and the dynamic-artifact counters in [`ServerStats`].
-pub const PROTOCOL_VERSION: u32 = 2;
+/// frames and the dynamic-artifact counters in [`ServerStats`]; version 3
+/// added the engine's `sssp_half_edges` work counter.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on a frame's declared payload length. Declaring more is
 /// [`NetError::FrameTooLarge`] — rejected before any allocation.
@@ -651,6 +652,7 @@ fn put_server_stats(buf: &mut Vec<u8>, s: &ServerStats) {
     put_u64(buf, s.engine.planner_units);
     put_u64(buf, s.engine.cache_hits);
     put_u64(buf, s.engine.cache_misses);
+    put_u64(buf, s.engine.sssp_half_edges);
     put_u64(buf, s.engine.swaps);
     put_u64(buf, s.engine.deltas_applied);
     put_u64(buf, s.engine.rebuilds);
@@ -967,6 +969,7 @@ impl<'a> Cursor<'a> {
                 planner_units: self.u64("stats field")?,
                 cache_hits: self.u64("stats field")?,
                 cache_misses: self.u64("stats field")?,
+                sssp_half_edges: self.u64("stats field")?,
                 swaps: self.u64("stats field")?,
                 deltas_applied: self.u64("stats field")?,
                 rebuilds: self.u64("stats field")?,
@@ -1081,6 +1084,7 @@ mod tests {
                 planner_units: 10,
                 cache_hits: 11,
                 cache_misses: 12,
+                sssp_half_edges: 16,
                 swaps: 13,
                 deltas_applied: 14,
                 rebuilds: 15,

@@ -18,8 +18,9 @@
 //! deduplicated vertex or edge faults), **groups** the batch by
 //! `(artifact, fault scope)`, builds each group's [`FaultSession`] once, and
 //! fans the groups out across the `ftspan_core::par` worker pool. Within a
-//! group, queries run through a [`CachedSession`] whose bounded LRU reuses
-//! one Dijkstra tree per query source ([`EngineConfig::source_cache_capacity`]).
+//! group, queries run through a [`CachedSession`] whose bounded LRU keeps
+//! one suspended Dijkstra traversal per query source, resumed only as far as
+//! each query's target needs ([`EngineConfig::source_cache_capacity`]).
 //!
 //! The plan is **observationally transparent**: the results — including
 //! per-query errors — are identical to running every query in its own
@@ -192,7 +193,7 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Capacity of the per-session LRU source cache the planner threads
     /// through grouped queries: the number of distinct query sources whose
-    /// Dijkstra trees are kept per `(artifact, fault scope)` group. `0`
+    /// Dijkstra traversals are kept per `(artifact, fault scope)` group. `0`
     /// disables caching. The default is 64. Lookups scan the recency list
     /// linearly, so keep this in the tens-to-hundreds range — at that size
     /// the scan is noise next to the Dijkstra run a hit saves, but a huge
@@ -228,13 +229,18 @@ pub struct EngineStats {
     pub planner_groups: u64,
     /// Work units the planner fanned out (groups after splitting).
     pub planner_units: u64,
-    /// Source-cache hits inside grouped units (queries answered from a
-    /// resident Dijkstra tree).
+    /// Source-cache hits inside grouped units (queries from a source whose
+    /// Dijkstra traversal was resident, answered from it or by resuming it).
     pub cache_hits: u64,
-    /// Source-cache misses inside grouped units (queries that ran a full
-    /// traversal). Singleton units skip the cache machinery entirely and are
-    /// counted in neither hits nor misses.
+    /// Source-cache misses inside grouped units (queries that started a new
+    /// traversal). Singleton units have nothing to reuse and are counted in
+    /// neither hits nor misses.
     pub cache_misses: u64,
+    /// Half-edges scanned by the shortest-path traversals of every planned
+    /// unit, singleton or grouped, spanner and baseline side: the batches'
+    /// traversal work, independent of timing. It depends only on the
+    /// queries and on how the planner split them into units.
+    pub sssp_half_edges: u64,
     /// Warm artifact swaps completed by [`Engine::apply_deltas`] (one per
     /// successfully installed version).
     pub swaps: u64,
@@ -270,6 +276,7 @@ struct StatsCell {
     planner_units: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
+    sssp_half_edges: AtomicU64,
     swaps: AtomicU64,
     deltas_applied: AtomicU64,
     rebuilds: AtomicU64,
@@ -284,6 +291,7 @@ impl StatsCell {
             planner_units: self.planner_units.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            sssp_half_edges: self.sssp_half_edges.load(Ordering::Relaxed),
             swaps: self.swaps.load(Ordering::Relaxed),
             deltas_applied: self.deltas_applied.load(Ordering::Relaxed),
             rebuilds: self.rebuilds.load(Ordering::Relaxed),
@@ -790,11 +798,10 @@ impl Engine {
         queries: &[Query],
         indices: &[usize],
     ) -> Vec<Result<QueryOutcome>> {
-        // A unit of one query has nothing to reuse; skip the cache
-        // machinery (the cache is transparent, so the answer is identical).
-        if let [i] = indices {
-            return vec![self.answer(snapshot, &queries[*i])];
-        }
+        // A unit of one query has nothing to reuse, so its lookup is
+        // counted as neither a hit nor a miss; its traversal work is still
+        // counted.
+        let reuses = indices.len() > 1;
         let naive = |indices: &[usize]| -> Vec<Result<QueryOutcome>> {
             indices
                 .iter()
@@ -810,7 +817,7 @@ impl Engine {
                             .iter()
                             .map(|&i| Self::answer_sharded(&mut session, &queries[i]))
                             .collect();
-                        self.record_cache(session.cache_stats());
+                        self.record_cache(session.cache_stats(), reuses);
                         results
                     }
                     Err(_) => naive(indices),
@@ -825,7 +832,7 @@ impl Engine {
                             .iter()
                             .map(|&i| self.answer_cached(&mut cached, &queries[i]))
                             .collect();
-                        self.record_cache(cached.cache_stats());
+                        self.record_cache(cached.cache_stats(), reuses);
                         results
                     }
                     Err(_) => naive(indices),
@@ -834,13 +841,18 @@ impl Engine {
         }
     }
 
-    fn record_cache(&self, cache: ftspan_core::serve::CacheStats) {
+    fn record_cache(&self, cache: ftspan_core::serve::CacheStats, reuses: bool) {
+        if reuses {
+            self.stats
+                .cache_hits
+                .fetch_add(cache.hits, Ordering::Relaxed);
+            self.stats
+                .cache_misses
+                .fetch_add(cache.misses, Ordering::Relaxed);
+        }
         self.stats
-            .cache_hits
-            .fetch_add(cache.hits, Ordering::Relaxed);
-        self.stats
-            .cache_misses
-            .fetch_add(cache.misses, Ordering::Relaxed);
+            .sssp_half_edges
+            .fetch_add(cache.sssp_half_edges, Ordering::Relaxed);
     }
 
     /// Executes a batch of queries through the query planner and returns one
@@ -851,7 +863,7 @@ impl Engine {
     /// versions, even while [`Engine::apply_deltas`] swaps concurrently),
     /// canonicalizes each query's fault scope, groups the batch by
     /// `(artifact, fault scope)`, builds each group's session **once**,
-    /// reuses per-source Dijkstra trees within a group
+    /// resumes per-source Dijkstra traversals within a group
     /// ([`EngineConfig::source_cache_capacity`]) and fans the groups out
     /// across the worker pool (large groups are split so a single hot scope
     /// still uses every worker).
@@ -1312,6 +1324,79 @@ mod tests {
         // A fresh engine starts from zero — stats are per-lineage, not global.
         let (fresh, _) = engine_with_artifact(11);
         assert_eq!(fresh.stats(), EngineStats::default());
+    }
+
+    #[test]
+    fn sssp_work_is_deterministic_and_stops_at_targets() {
+        // A dense weighted graph served whole (the heap's regime): 200
+        // single-fault distance queries, each its own unit, plus four
+        // two-fault scopes of six queries from two sources each, which
+        // resume their sources' traversals. No group is larger than a unit
+        // at 8 workers, so the plan (and with it the work) is the same at
+        // every worker count.
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        let n = 200;
+        let g = generate::gnp(
+            n,
+            0.5,
+            generate::WeightKind::Uniform { min: 1.0, max: 4.0 },
+            &mut rng,
+        );
+        let artifact = FtSpanner::from_edge_set(
+            &g,
+            g.full_edge_set(),
+            "whole-graph",
+            "",
+            FaultModel::Vertex,
+            2,
+            1.0,
+        )
+        .unwrap();
+        let node = |i: usize| NodeId::new(i % n);
+        let mut queries: Vec<Query> = (0..n)
+            .map(|i| Query::distance("dense", vec![node(i)], node(i + 1), node(7 * i + 3)))
+            .collect();
+        for scope in 0..4 {
+            let faults = vec![node(scope), node(scope + 100)];
+            for i in 0..6 {
+                let (u, v) = (node(scope + 10 + i % 2), node(31 * i + 50 * scope + 5));
+                queries.push(Query::distance("dense", faults.clone(), u, v));
+            }
+        }
+
+        let mut seen = None;
+        for workers in [1, 2, 8] {
+            let mut engine = Engine::new().with_workers(workers);
+            engine.register("dense", artifact.clone());
+            let results = engine.run_batch(&queries);
+            assert_eq!(results, engine.run_batch_naive(&queries));
+            let stats = engine.stats();
+            assert_eq!(stats.cache_misses, 8);
+            assert_eq!(stats.cache_hits, 16);
+            match seen {
+                None => seen = Some(stats.sssp_half_edges),
+                Some(work) => assert_eq!(stats.sssp_half_edges, work, "workers {workers}"),
+            }
+        }
+
+        // What one full traversal per (scope, source) would have scanned.
+        let mut pairs: Vec<(Vec<NodeId>, NodeId)> =
+            queries.iter().map(|q| (q.faults.clone(), q.u)).collect();
+        pairs.sort();
+        pairs.dedup();
+        let full: u64 = pairs
+            .iter()
+            .map(|(faults, u)| {
+                let mut session = artifact.under_faults(faults).unwrap().cached(0);
+                session.distances_from(*u).unwrap();
+                session.cache_stats().sssp_half_edges
+            })
+            .sum();
+        let work = seen.expect("three runs");
+        assert!(
+            (work as f64) <= 0.6 * full as f64,
+            "target-directed {work} vs full {full}"
+        );
     }
 
     #[test]

@@ -716,11 +716,12 @@ impl<'a> ShardedSession<'a> {
 
     /// Aggregated per-shard source-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats { hits: 0, misses: 0 };
+        let mut total = CacheStats::default();
         for s in &self.shards {
             let cs = s.cache_stats();
             total.hits += cs.hits;
             total.misses += cs.misses;
+            total.sssp_half_edges += cs.sssp_half_edges;
         }
         total
     }
