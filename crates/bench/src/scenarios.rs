@@ -210,6 +210,9 @@ enum Family {
     PlanarMesh,
     /// [`GeneratorSpec::Hyperbolic`] — heavy-tailed degrees, tight core.
     Hyperbolic,
+    /// [`GeneratorSpec::Gnm`] at mean degree 200 — the dense family on
+    /// which the black box's per-vertex cost shows.
+    DenseGnm,
     /// `directed_gnp(n, p)` for the 2-spanner problem.
     DirectedGnp,
 }
@@ -224,6 +227,8 @@ enum Workload {
         faults: usize,
         /// `Some(s)` switches sampled enumeration/verification on.
         samples: Option<usize>,
+        /// `Some(kind)` overrides the conversion's default black box.
+        black_box: Option<BlackBoxKind>,
     },
     /// Build one artifact, then answer a batch of queries through the
     /// [`Engine`].
@@ -297,6 +302,7 @@ pub fn all() -> Vec<Scenario> {
                 family: Family::Gnp,
                 faults: 1,
                 samples: None,
+                black_box: None,
             },
         },
         Scenario {
@@ -307,6 +313,7 @@ pub fn all() -> Vec<Scenario> {
                 family: Family::Grid,
                 faults: 1,
                 samples: None,
+                black_box: None,
             },
         },
         Scenario {
@@ -317,6 +324,7 @@ pub fn all() -> Vec<Scenario> {
                 family: Family::NearRegular,
                 faults: 1,
                 samples: None,
+                black_box: None,
             },
         },
         Scenario {
@@ -327,6 +335,7 @@ pub fn all() -> Vec<Scenario> {
                 family: Family::PlanarMesh,
                 faults: 1,
                 samples: None,
+                black_box: None,
             },
         },
         Scenario {
@@ -337,6 +346,7 @@ pub fn all() -> Vec<Scenario> {
                 family: Family::Hyperbolic,
                 faults: 1,
                 samples: None,
+                black_box: None,
             },
         },
         Scenario {
@@ -347,6 +357,7 @@ pub fn all() -> Vec<Scenario> {
                 family: Family::Gnp,
                 faults: 2,
                 samples: None,
+                black_box: None,
             },
         },
         Scenario {
@@ -357,6 +368,7 @@ pub fn all() -> Vec<Scenario> {
                 family: Family::Gnp,
                 faults: 1,
                 samples: None,
+                black_box: None,
             },
         },
         Scenario {
@@ -367,6 +379,7 @@ pub fn all() -> Vec<Scenario> {
                 family: Family::Gnp,
                 faults: 1,
                 samples: None,
+                black_box: None,
             },
         },
         Scenario {
@@ -377,6 +390,18 @@ pub fn all() -> Vec<Scenario> {
                 family: Family::Gnp,
                 faults: 2,
                 samples: Some(20),
+                black_box: None,
+            },
+        },
+        Scenario {
+            name: "conversion-baswana-sen-dense",
+            description: "Theorem 2.1 conversion (Baswana-Sen black box, r = 1, theorem alpha) on a dense G(n, m)",
+            workload: Workload::Construction {
+                algorithm: "conversion",
+                family: Family::DenseGnm,
+                faults: 1,
+                samples: None,
+                black_box: Some(BlackBoxKind::BaswanaSen),
             },
         },
         Scenario {
@@ -387,6 +412,7 @@ pub fn all() -> Vec<Scenario> {
                 family: Family::DirectedGnp,
                 faults: 1,
                 samples: None,
+                black_box: None,
             },
         },
         Scenario {
@@ -397,6 +423,7 @@ pub fn all() -> Vec<Scenario> {
                 family: Family::DirectedGnp,
                 faults: 1,
                 samples: None,
+                black_box: None,
             },
         },
         Scenario {
@@ -462,6 +489,7 @@ pub fn all() -> Vec<Scenario> {
                 family: Family::DirectedGnp,
                 faults: 1,
                 samples: None,
+                black_box: None,
             },
         },
         Scenario {
@@ -472,6 +500,7 @@ pub fn all() -> Vec<Scenario> {
                 family: Family::DirectedGnp,
                 faults: 1,
                 samples: None,
+                black_box: None,
             },
         },
         Scenario {
@@ -482,6 +511,7 @@ pub fn all() -> Vec<Scenario> {
                 family: Family::Gnp,
                 faults: 1,
                 samples: None,
+                black_box: None,
             },
         },
         Scenario {
@@ -492,6 +522,7 @@ pub fn all() -> Vec<Scenario> {
                 family: Family::DirectedGnp,
                 faults: 1,
                 samples: None,
+                black_box: None,
             },
         },
         Scenario {
@@ -616,7 +647,8 @@ impl Scenario {
                 family,
                 faults,
                 samples,
-            } => self.run_construction(config, algorithm, family, faults, samples),
+                black_box,
+            } => self.run_construction(config, algorithm, family, faults, samples, black_box),
             Workload::EngineThroughput => self.run_engine(config),
             Workload::ServeRepeatedFaults => self.run_serve_repeated(config),
             Workload::ServeZipfSources => self.run_serve_zipf(config),
@@ -641,11 +673,15 @@ impl Scenario {
         family: Family,
         faults: usize,
         samples: Option<usize>,
+        black_box: Option<BlackBoxKind>,
     ) -> ScenarioResult {
         let seed = self.seed_for(config.seed);
         let mut builder = FtSpannerBuilder::new(algorithm).faults(faults).seed(seed);
         if let Some(s) = samples {
             builder = builder.samples(s);
+        }
+        if let Some(kind) = black_box {
+            builder = builder.black_box(kind);
         }
         if let Some(t) = config.threads {
             builder = builder.threads(t);
@@ -1568,6 +1604,17 @@ fn undirected_input(family: Family, profile: Profile, rng: &mut ChaCha8Rng) -> G
         (Family::PlanarMesh, Profile::Full | Profile::Paper) => planar_mesh_input(16, 16, rng),
         (Family::Hyperbolic, Profile::Ci) => hyperbolic_input(64, rng),
         (Family::Hyperbolic, Profile::Full | Profile::Paper) => hyperbolic_input(160, rng),
+        (Family::DenseGnm, profile) => {
+            let nodes = if profile == Profile::Ci { 400 } else { 1_000 };
+            GeneratorSpec::Gnm {
+                nodes,
+                edges: nodes * 100,
+                weights: generate::WeightKind::Unit,
+                seed: rng.gen(),
+            }
+            .generate()
+            .expect("G(n, m) with m below n(n-1)/2 is valid")
+        }
         (Family::DirectedGnp, _) => unreachable!("directed families use directed_input"),
     }
 }
@@ -1895,6 +1942,7 @@ mod tests {
                 "edge-fault-gnp",
                 "adaptive-gnp",
                 "clpr09-sampled-gnp",
+                "conversion-baswana-sen-dense",
                 "two-spanner-lp-gnp",
                 "two-spanner-greedy-gnp",
                 "engine-queries",

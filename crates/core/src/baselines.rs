@@ -15,12 +15,12 @@
 //!   inequalities) and therefore needing inflation `α = Θ(r log n)`.
 //! * [`buy_everything`] — the trivial upper bound.
 
-use crate::conversion::ConversionResult;
+use crate::conversion::{run_black_box, ConversionResult};
 use crate::par;
 use crate::two_spanner::{approximate_two_spanner, ApproxConfig, ApproxResult};
 use crate::Result;
 use ftspan_graph::faults::{enumerate_fault_sets, sample_fault_sets, FaultSet};
-use ftspan_graph::{ArcSet, DiGraph, EdgeId, Graph};
+use ftspan_graph::{ArcSet, DiGraph, Graph};
 use ftspan_spanners::SpannerAlgorithm;
 use rand::RngCore;
 
@@ -95,21 +95,12 @@ impl ClprStyleBaseline {
         let seeds = par::derive_seeds(rng, fault_sets.len());
 
         let outcomes = par::map(threads, fault_sets.len(), |i| {
-            let mut task_rng = par::stream(seeds[i]);
-            let dead = fault_sets[i].to_dead_mask(n);
-            let (sub, edge_map) = induced_subgraph(graph, &dead);
-            let spanner = algorithm.build(&sub, &mut task_rng);
-            let edges: Vec<EdgeId> = spanner
-                .iter()
-                .map(|sub_edge| edge_map[sub_edge.index()])
+            let alive: Vec<bool> = fault_sets[i]
+                .to_dead_mask(n)
+                .into_iter()
+                .map(|dead| !dead)
                 .collect();
-            let stats = crate::conversion::IterationStats {
-                surviving_vertices: n - fault_sets[i].len(),
-                surviving_edges: sub.edge_count(),
-                spanner_edges: spanner.len(),
-                new_edges: 0, // filled during the in-order merge below
-            };
-            (edges, stats)
+            run_black_box(graph, algorithm, &alive, &mut par::stream(seeds[i]))
         });
 
         let mut union = graph.empty_edge_set();
@@ -128,19 +119,6 @@ impl ClprStyleBaseline {
             per_iteration,
         }
     }
-}
-
-fn induced_subgraph(graph: &Graph, dead: &[bool]) -> (Graph, Vec<EdgeId>) {
-    let mut sub = Graph::new(graph.node_count());
-    let mut map = Vec::new();
-    for (id, e) in graph.edges() {
-        if !dead[e.u.index()] && !dead[e.v.index()] {
-            sub.add_edge(e.u, e.v, e.weight)
-                .expect("edges of a valid graph remain valid in a subgraph");
-            map.push(id);
-        }
-    }
-    (sub, map)
 }
 
 /// The DK10 baseline for minimum-cost `r`-fault-tolerant 2-spanner: the same

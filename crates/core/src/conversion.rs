@@ -34,7 +34,8 @@ pub struct ConversionParams {
     /// Multiplier on the default iteration count. The paper's analysis uses a
     /// conservative union bound; experiments can lower this (and re-verify
     /// the output) to study how many iterations are needed in practice — the
-    /// `ablation_alpha` benchmark does exactly that.
+    /// `paper-e11-adaptive-alpha` scenario of `bench_runner --profile paper`
+    /// does exactly that.
     pub scale: f64,
 }
 
@@ -219,23 +220,7 @@ impl FaultTolerantConverter {
         let seeds = par::derive_seeds(rng, alpha);
 
         let outcomes = par::map(threads, alpha, |i| {
-            let mut task_rng = par::stream(seeds[i]);
-            // Sample the oversized fault set J.
-            let alive: Vec<bool> = (0..n).map(|_| task_rng.gen::<f64>() >= p).collect();
-            // Build G \ J, remembering how its edge ids map back to G.
-            let (sub, edge_map) = induced_subgraph(graph, &alive);
-            let spanner = algorithm.build(&sub, &mut task_rng);
-            let edges: Vec<EdgeId> = spanner
-                .iter()
-                .map(|sub_edge| edge_map[sub_edge.index()])
-                .collect();
-            let stats = IterationStats {
-                surviving_vertices: alive.iter().filter(|&&a| a).count(),
-                surviving_edges: sub.edge_count(),
-                spanner_edges: spanner.len(),
-                new_edges: 0, // filled during the in-order merge below
-            };
-            (edges, stats)
+            run_iteration(graph, algorithm, seeds[i], p)
         });
 
         let mut union = graph.empty_edge_set();
@@ -349,27 +334,8 @@ impl FaultTolerantConverter {
         let seeds = par::derive_seeds(rng, alpha);
 
         let outcomes = par::map(threads, alpha, |i| {
-            let mut task_rng = par::stream(seeds[i]);
-            let alive: Vec<bool> = (0..n).map(|_| task_rng.gen::<f64>() >= p).collect();
-            let (sub, edge_map) = induced_subgraph(graph, &alive);
-            let spanner = algorithm.build(&sub, &mut task_rng);
-            let edges: Vec<EdgeId> = spanner
-                .iter()
-                .map(|sub_edge| edge_map[sub_edge.index()])
-                .collect();
-            let endpoints: Vec<(NodeId, NodeId)> = edges
-                .iter()
-                .map(|&id| {
-                    let e = graph.edge(id);
-                    (e.u, e.v)
-                })
-                .collect();
-            let stats = IterationStats {
-                surviving_vertices: alive.iter().filter(|&&a| a).count(),
-                surviving_edges: sub.edge_count(),
-                spanner_edges: spanner.len(),
-                new_edges: 0, // filled during the in-order merge below
-            };
+            let (edges, stats) = run_iteration(graph, algorithm, seeds[i], p);
+            let endpoints = endpoints_of(graph, &edges);
             (edges, endpoints, stats)
         });
 
@@ -470,8 +436,7 @@ impl FaultTolerantConverter {
         // Pass 1: recompute the masks (n draws each, no subgraphs) and flag
         // the touched iterations.
         let touched_flags = par::map(threads, alpha, |i| {
-            let mut task_rng = par::stream(trace.seeds[i]);
-            let alive: Vec<bool> = (0..n).map(|_| task_rng.gen::<f64>() >= p).collect();
+            let alive = oversampled_mask(n, p, &mut par::stream(trace.seeds[i]));
             changed
                 .iter()
                 .any(|&(u, v)| alive[u.index()] && alive[v.index()])
@@ -485,25 +450,11 @@ impl FaultTolerantConverter {
         // recorded endpoints for the rest.
         let outcomes = par::map(threads, alpha, |i| -> Result<_> {
             if touched_flags[i] {
-                let mut task_rng = par::stream(trace.seeds[i]);
-                let alive: Vec<bool> = (0..n).map(|_| task_rng.gen::<f64>() >= p).collect();
-                let (sub, edge_map) = induced_subgraph(new_graph, &alive);
-                let spanner = algorithm.build(&sub, &mut task_rng);
-                let edges: Vec<EdgeId> = spanner
-                    .iter()
-                    .map(|sub_edge| edge_map[sub_edge.index()])
-                    .collect();
-                let endpoints: Vec<(NodeId, NodeId)> = edges
-                    .iter()
-                    .map(|&id| {
-                        let e = new_graph.edge(id);
-                        (e.u, e.v)
-                    })
-                    .collect();
+                let (edges, stats) = run_iteration(new_graph, algorithm, trace.seeds[i], p);
                 let record = TracedIteration {
-                    endpoints,
-                    surviving_vertices: alive.iter().filter(|&&a| a).count(),
-                    surviving_edges: sub.edge_count(),
+                    endpoints: endpoints_of(new_graph, &edges),
+                    surviving_vertices: stats.surviving_vertices,
+                    surviving_edges: stats.surviving_edges,
                 };
                 Ok((edges, record))
             } else {
@@ -561,6 +512,68 @@ impl FaultTolerantConverter {
             touched_iterations: touched,
         }))
     }
+}
+
+/// Samples the alive mask of one iteration: each vertex joins the oversized
+/// fault set `J` with probability `p`, one `f64` draw per vertex in id
+/// order. A repair recomputes the mask bit-exactly from the seed.
+fn oversampled_mask(n: usize, p: f64, rng: &mut impl Rng) -> Vec<bool> {
+    (0..n).map(|_| rng.gen::<f64>() >= p).collect()
+}
+
+/// One conversion iteration from its seed: sample `J`, then run the black
+/// box on `G \ J` with the rest of the same stream.
+fn run_iteration<A>(
+    graph: &Graph,
+    algorithm: &A,
+    seed: u64,
+    p: f64,
+) -> (Vec<EdgeId>, IterationStats)
+where
+    A: SpannerAlgorithm + ?Sized,
+{
+    let mut task_rng = par::stream(seed);
+    let alive = oversampled_mask(graph.node_count(), p, &mut task_rng);
+    run_black_box(graph, algorithm, &alive, &mut task_rng)
+}
+
+/// Runs `algorithm` on the subgraph induced by the vertices with
+/// `alive[v] == true` and maps the selected edges back to `graph`'s edge
+/// ids, in the black box's output order. The returned statistics leave
+/// `new_edges` at 0 for the caller's in-order merge to fill.
+pub(crate) fn run_black_box<A>(
+    graph: &Graph,
+    algorithm: &A,
+    alive: &[bool],
+    rng: &mut dyn RngCore,
+) -> (Vec<EdgeId>, IterationStats)
+where
+    A: SpannerAlgorithm + ?Sized,
+{
+    let (sub, edge_map) = induced_subgraph(graph, alive);
+    let spanner = algorithm.build(&sub, rng);
+    let edges: Vec<EdgeId> = spanner
+        .iter()
+        .map(|sub_edge| edge_map[sub_edge.index()])
+        .collect();
+    let stats = IterationStats {
+        surviving_vertices: alive.iter().filter(|&&a| a).count(),
+        surviving_edges: sub.edge_count(),
+        spanner_edges: spanner.len(),
+        new_edges: 0,
+    };
+    (edges, stats)
+}
+
+/// The normalized endpoint pairs of `edges`, in order.
+fn endpoints_of(graph: &Graph, edges: &[EdgeId]) -> Vec<(NodeId, NodeId)> {
+    edges
+        .iter()
+        .map(|&id| {
+            let e = graph.edge(id);
+            (e.u, e.v)
+        })
+        .collect()
 }
 
 /// Builds the subgraph of `graph` induced by the vertices with

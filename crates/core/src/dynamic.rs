@@ -37,7 +37,7 @@ use crate::api::{FaultModel, GraphInput, Registry, SpannerRequest};
 use crate::conversion::{ConversionTrace, FaultTolerantConverter, RepairAttempt};
 use crate::serve::FtSpanner;
 use crate::{CoreError, Result};
-use ftspan_graph::{Graph, NodeId};
+use ftspan_graph::{Edge, EdgeId, Graph, NodeId};
 use ftspan_spanners::SpannerAlgorithm;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -416,18 +416,12 @@ fn decode_delta_record(payload: &[u8], index: usize) -> Result<SequencedDelta> {
 /// or reweight targets a missing edge. `base` is never modified.
 pub fn apply_deltas(base: &Graph, deltas: &[SequencedDelta]) -> Result<Graph> {
     let n = base.node_count();
-    let mut slots: Vec<Option<(NodeId, NodeId, f64)>> = base
-        .edges()
-        .map(|(_, e)| Some((e.u, e.v, e.weight)))
-        .collect();
-    let mut index: HashMap<(usize, usize), usize> = slots
-        .iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            let (u, v, _) = slot.expect("freshly collected");
-            ((u.index(), v.index()), i)
-        })
-        .collect();
+    // Slot `i < m` is base edge `i`; inserts append. A deleted slot is
+    // `None`, so compacting the slots yields the canonical edge order.
+    let mut slots: Vec<Option<Edge>> = base.edges().map(|(_, e)| Some(*e)).collect();
+    // This batch's own inserts and deletes, by normalized endpoint pair
+    // (`None` = deleted). Every other pair resolves through `base`.
+    let mut batch: HashMap<(NodeId, NodeId), Option<usize>> = HashMap::new();
 
     let mut prev_seq = 0u64;
     for record in deltas {
@@ -454,46 +448,50 @@ pub fn apply_deltas(base: &Graph, deltas: &[SequencedDelta]) -> Result<Graph> {
         if u == v {
             return Err(reject("self-loops are not allowed".to_string()));
         }
-        let key = (u.index().min(v.index()), u.index().max(v.index()));
-        let (a, b) = (NodeId::new(key.0), NodeId::new(key.1));
+        let key = (u.min(v), u.max(v));
+        let live = match batch.get(&key) {
+            Some(&slot) => slot,
+            None => base.find_edge(key.0, key.1).map(EdgeId::index),
+        };
         match record.delta {
             EdgeDelta::Insert { weight, .. } => {
                 if !weight.is_finite() || weight < 0.0 {
                     return Err(reject(format!("invalid weight {weight}")));
                 }
-                if index.contains_key(&key) {
+                if live.is_some() {
                     return Err(reject("edge already exists".to_string()));
                 }
-                index.insert(key, slots.len());
-                slots.push(Some((a, b, weight)));
+                batch.insert(key, Some(slots.len()));
+                slots.push(Some(Edge {
+                    u: key.0,
+                    v: key.1,
+                    weight,
+                }));
             }
-            EdgeDelta::Delete { .. } => match index.remove(&key) {
-                Some(slot) => slots[slot] = None,
+            EdgeDelta::Delete { .. } => match live {
+                Some(slot) => {
+                    slots[slot] = None;
+                    batch.insert(key, None);
+                }
                 None => return Err(reject("edge does not exist".to_string())),
             },
             EdgeDelta::Reweight { weight, .. } => {
                 if !weight.is_finite() || weight < 0.0 {
                     return Err(reject(format!("invalid weight {weight}")));
                 }
-                match index.get(&key) {
-                    Some(&slot) => {
-                        slots[slot] = Some((a, b, weight));
-                    }
+                match live.and_then(|slot| slots[slot].as_mut()) {
+                    Some(edge) => edge.weight = weight,
                     None => return Err(reject("edge does not exist".to_string())),
                 }
             }
         }
     }
 
-    let mut graph = Graph::new(n);
-    for (u, v, w) in slots.into_iter().flatten() {
-        graph
-            .add_edge(u, v, w)
-            .map_err(|e| CoreError::InvalidParameter {
-                message: format!("post-delta graph rejected edge ({u}, {v}): {e}"),
-            })?;
-    }
-    Ok(graph)
+    Graph::from_indexed_edges(n, slots.into_iter().flatten().collect()).map_err(|e| {
+        CoreError::InvalidParameter {
+            message: format!("post-delta graph rejected: {e}"),
+        }
+    })
 }
 
 /// The rebuild scheduler: decides whether a delta batch is patched
@@ -1291,6 +1289,71 @@ mod tests {
             v: node(3),
             weight: f64::NAN,
         }); // bad weight
+    }
+
+    #[test]
+    fn apply_deltas_resolves_the_batchs_own_inserts_and_deletes() {
+        let g = Graph::from_edges(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]).unwrap();
+        let batch = |deltas: Vec<EdgeDelta>| -> Vec<SequencedDelta> {
+            (1..)
+                .zip(deltas)
+                .map(|(seq, delta)| SequencedDelta { seq, delta })
+                .collect()
+        };
+        let deltas = batch(vec![
+            EdgeDelta::Delete {
+                u: node(2),
+                v: node(1),
+            },
+            EdgeDelta::Insert {
+                u: node(2),
+                v: node(1),
+                weight: 3.0,
+            },
+            EdgeDelta::Reweight {
+                u: node(1),
+                v: node(2),
+                weight: 4.0,
+            },
+            EdgeDelta::Insert {
+                u: node(3),
+                v: node(0),
+                weight: 1.0,
+            },
+            EdgeDelta::Delete {
+                u: node(0),
+                v: node(3),
+            },
+            EdgeDelta::Insert {
+                u: node(4),
+                v: node(3),
+                weight: 2.0,
+            },
+        ]);
+        // A re-inserted edge moves to the end; an edge inserted and deleted
+        // in the same batch leaves no trace. The bulk build equals the
+        // edge-by-edge one, adjacency order included.
+        let expected =
+            Graph::from_edges(5, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 4.0), (3, 4, 2.0)]).unwrap();
+        assert_eq!(apply_deltas(&g, &deltas).unwrap(), expected);
+
+        let then = |delta: EdgeDelta| {
+            let mut longer = deltas.clone();
+            longer.push(SequencedDelta { seq: 7, delta });
+            apply_deltas(&g, &longer)
+        };
+        assert!(then(EdgeDelta::Reweight {
+            u: node(0),
+            v: node(3),
+            weight: 1.0,
+        })
+        .is_err()); // deleted in this batch
+        assert!(then(EdgeDelta::Insert {
+            u: node(1),
+            v: node(2),
+            weight: 1.0,
+        })
+        .is_err()); // re-inserted in this batch
     }
 
     #[test]

@@ -176,12 +176,41 @@ impl Graph {
         Ok(g)
     }
 
-    /// Builds a graph from pre-validated edges whose position in `edges` is
-    /// their [`EdgeId`]. Endpoints must be normalized (`u <= v`), in bounds,
-    /// loop-free, with finite non-negative weights — callers (the CSR
-    /// reconstruction path) have already checked this. Adjacency lists are
-    /// appended then sorted, which also surfaces parallel edges.
-    pub(crate) fn from_indexed_edges(n: usize, edges: Vec<Edge>) -> Result<Self> {
+    /// Builds a graph with `n` vertices whose edge `i` is `edges[i]`, with
+    /// its endpoints normalized so that `u <= v`.
+    ///
+    /// The result equals adding the edges one by one through
+    /// [`Graph::add_edge`], but the adjacency lists are appended and then
+    /// sorted once per vertex, which avoids the per-edge sorted insertion
+    /// on dense vertices.
+    ///
+    /// # Errors
+    ///
+    /// * [`GraphError::NodeOutOfBounds`] if any endpoint is `>= n`.
+    /// * [`GraphError::SelfLoop`] if any edge is a self-loop.
+    /// * [`GraphError::InvalidWeight`] if any weight is negative or not
+    ///   finite.
+    /// * [`GraphError::InvalidParameter`] if two edges join the same pair.
+    pub fn from_indexed_edges(n: usize, mut edges: Vec<Edge>) -> Result<Self> {
+        for e in &mut edges {
+            for x in [e.u, e.v] {
+                if x.index() >= n {
+                    return Err(GraphError::NodeOutOfBounds {
+                        node: x.index(),
+                        len: n,
+                    });
+                }
+            }
+            if e.u == e.v {
+                return Err(GraphError::SelfLoop { node: e.u.index() });
+            }
+            if !(e.weight.is_finite() && e.weight >= 0.0) {
+                return Err(GraphError::InvalidWeight { weight: e.weight });
+            }
+            if e.v < e.u {
+                std::mem::swap(&mut e.u, &mut e.v);
+            }
+        }
         let mut adj: Vec<Vec<(NodeId, EdgeId)>> = vec![Vec::new(); n];
         for (i, e) in edges.iter().enumerate() {
             adj[e.u.index()].push((e.v, EdgeId::new(i)));
@@ -480,6 +509,46 @@ mod tests {
         Graph::from_unit_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap()
     }
 
+    #[test]
+    fn indexed_edges_build_equals_edge_by_edge_build() {
+        let raw = [(3, 1, 2.0), (0, 1, 1.0), (2, 0, 0.5), (1, 2, 1.0)];
+        let edges: Vec<Edge> = raw
+            .iter()
+            .map(|&(u, v, weight)| Edge {
+                u: NodeId::new(u),
+                v: NodeId::new(v),
+                weight,
+            })
+            .collect();
+        assert_eq!(
+            Graph::from_indexed_edges(4, edges.clone()).unwrap(),
+            Graph::from_edges(4, raw).unwrap()
+        );
+
+        let with = |extra: Edge| {
+            let mut bad = edges.clone();
+            bad.push(extra);
+            Graph::from_indexed_edges(4, bad).unwrap_err()
+        };
+        let edge = |u: usize, v: usize, weight: f64| Edge {
+            u: NodeId::new(u),
+            v: NodeId::new(v),
+            weight,
+        };
+        assert!(matches!(
+            with(edge(0, 4, 1.0)),
+            GraphError::NodeOutOfBounds { .. }
+        ));
+        assert!(matches!(with(edge(2, 2, 1.0)), GraphError::SelfLoop { .. }));
+        assert!(matches!(
+            with(edge(0, 3, -1.0)),
+            GraphError::InvalidWeight { .. }
+        ));
+        assert!(matches!(
+            with(edge(1, 0, 1.0)),
+            GraphError::InvalidParameter { .. }
+        ));
+    }
     #[test]
     fn new_graph_is_empty() {
         let g = Graph::new(5);

@@ -4,7 +4,6 @@ use crate::SpannerAlgorithm;
 use ftspan_graph::{EdgeId, EdgeSet, Graph, NodeId};
 use rand::Rng;
 use rand::RngCore;
-use std::collections::{BTreeMap, HashSet};
 
 /// The Baswana–Sen randomized `(2k−1)`-spanner construction.
 ///
@@ -13,6 +12,25 @@ use std::collections::{BTreeMap, HashSet};
 /// `n^{−1/k}`), followed by a final vertex–cluster joining phase. Its expected
 /// size is `O(k · n^{1+1/k})` and it works with arbitrary non-negative edge
 /// lengths.
+///
+/// # Running time
+///
+/// Every round is `O(n + m)`: each vertex scans its adjacency list once to
+/// find its lightest edge into every adjacent cluster (dense scratch arrays
+/// indexed by cluster centre, reset through a touched list), and once more
+/// to discard its edges into every cluster it bought. A build is therefore
+/// `O(k · (n + m))` time with `O(n + m)` scratch.
+///
+/// # Determinism
+///
+/// The output is a pure function of `(graph, rng state)`:
+///
+/// * the sampling coins go to the live cluster centres in ascending id
+///   order, one `f64` draw each;
+/// * among equally light edges from a vertex into one cluster, the first in
+///   the vertex's adjacency order (ascending neighbour id) wins;
+/// * among equally light sampled clusters, the one with the smallest centre
+///   id wins.
 ///
 /// In this workspace it serves as an alternative black box for the conversion
 /// theorem (Theorem 2.1), exercising the theorem's claim that *any* spanner
@@ -52,50 +70,112 @@ impl BaswanaSenSpanner {
     pub fn k(&self) -> usize {
         self.k
     }
+}
 
-    /// Minimum-weight alive edge from `v` to each adjacent cluster.
-    ///
-    /// Keyed by a `BTreeMap` so iteration (and therefore tie-breaking among
-    /// equal-weight edges) is ordered by cluster id: the construction must be
-    /// a pure function of `(graph, rng state)` for the workspace's
-    /// determinism guarantees, which rules out hash-ordered traversal.
-    fn neighbor_clusters(
-        graph: &Graph,
-        alive: &[bool],
-        cluster: &[Option<usize>],
-        v: NodeId,
-    ) -> BTreeMap<usize, (f64, EdgeId)> {
-        let mut best: BTreeMap<usize, (f64, EdgeId)> = BTreeMap::new();
+/// One vertex's view of its adjacent clusters, in arrays indexed by cluster
+/// centre and reused from vertex to vertex. Only the entries listed in
+/// `touched` are meaningful; [`ClusterScratch::discard_bought`] resets them,
+/// so each vertex pays for its own degree and nothing else.
+struct ClusterScratch {
+    /// Lightest alive edge from the current vertex into each touched cluster.
+    best: Vec<(f64, EdgeId)>,
+    /// Whether the cluster is in `touched`.
+    seen: Vec<bool>,
+    /// Whether the current vertex bought an edge into the cluster (and so
+    /// discards all its edges into it).
+    bought: Vec<bool>,
+    /// The clusters adjacent to the current vertex, in first-seen order.
+    touched: Vec<usize>,
+}
+
+impl ClusterScratch {
+    fn new(n: usize) -> Self {
+        ClusterScratch {
+            best: vec![(0.0, EdgeId::new(0)); n],
+            seen: vec![false; n],
+            bought: vec![false; n],
+            touched: Vec::new(),
+        }
+    }
+
+    /// Records the lightest alive edge from `v` into each adjacent cluster.
+    /// An entry is replaced only by a strictly lighter edge, so ties go to
+    /// the first edge in `v`'s adjacency order.
+    fn scan(&mut self, graph: &Graph, alive: &[bool], cluster: &[Option<usize>], v: NodeId) {
         for (u, eid) in graph.incident(v) {
             if !alive[eid.index()] {
                 continue;
             }
-            if let Some(c) = cluster[u.index()] {
-                let w = graph.edge(eid).weight;
-                best.entry(c)
-                    .and_modify(|entry| {
-                        if w < entry.0 {
-                            *entry = (w, eid);
-                        }
-                    })
-                    .or_insert((w, eid));
+            let Some(c) = cluster[u.index()] else {
+                continue;
+            };
+            let w = graph.edge(eid).weight;
+            if !self.seen[c] {
+                self.seen[c] = true;
+                self.best[c] = (w, eid);
+                self.touched.push(c);
+            } else if w < self.best[c].0 {
+                self.best[c] = (w, eid);
             }
         }
-        best
     }
 
-    /// Discards every alive edge between `v` and the cluster `c`.
-    fn discard_edges_to_cluster(
+    /// The sampled adjacent cluster with the lightest edge; ties go to the
+    /// smallest centre id.
+    fn nearest_sampled(&self, sampled: &[bool]) -> Option<usize> {
+        self.touched
+            .iter()
+            .copied()
+            .filter(|&c| sampled[c])
+            .min_by(|&a, &b| {
+                self.best[a]
+                    .0
+                    .partial_cmp(&self.best[b].0)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            })
+    }
+
+    /// Adds the lightest edge into cluster `c` to the spanner.
+    fn buy(&mut self, spanner: &mut EdgeSet, c: usize) {
+        spanner.insert(self.best[c].1);
+        self.bought[c] = true;
+    }
+
+    /// Buys every adjacent cluster whose lightest edge is strictly lighter
+    /// than `limit`.
+    fn buy_lighter_than(&mut self, spanner: &mut EdgeSet, limit: f64) {
+        for &c in &self.touched {
+            if self.best[c].0 < limit {
+                spanner.insert(self.best[c].1);
+                self.bought[c] = true;
+            }
+        }
+    }
+
+    /// Discards every edge from `v` into a bought cluster in one pass over
+    /// `v`'s adjacency, then resets the scratch for the next vertex.
+    ///
+    /// Only `v`'s own edges change and `cluster` is the previous round's
+    /// clustering, so this leaves `alive` exactly as discarding one bought
+    /// cluster at a time would.
+    fn discard_bought(
+        &mut self,
         graph: &Graph,
         alive: &mut [bool],
         cluster: &[Option<usize>],
         v: NodeId,
-        c: usize,
     ) {
         for (u, eid) in graph.incident(v) {
-            if alive[eid.index()] && cluster[u.index()] == Some(c) {
-                alive[eid.index()] = false;
+            if let Some(c) = cluster[u.index()] {
+                if self.bought[c] {
+                    alive[eid.index()] = false;
+                }
             }
+        }
+        for c in self.touched.drain(..) {
+            self.seen[c] = false;
+            self.bought[c] = false;
         }
     }
 }
@@ -120,70 +200,49 @@ impl SpannerAlgorithm for BaswanaSenSpanner {
         let mut alive = vec![true; graph.edge_count()];
         // cluster[v] = Some(center) while v is clustered, None once discarded.
         let mut cluster: Vec<Option<usize>> = (0..n).map(Some).collect();
+        let mut sampled = vec![false; n];
+        let mut scratch = ClusterScratch::new(n);
 
         // Phase 1: k - 1 rounds of cluster sampling.
         for _round in 0..self.k.saturating_sub(1) {
-            // Which cluster centers survive this round? The coin flips are
-            // assigned to centers in ascending id order so the sampled set is
-            // a pure function of the rng state (hash order is not).
-            let mut centers: Vec<usize> = cluster.iter().flatten().copied().collect();
-            centers.sort_unstable();
-            centers.dedup();
-            let sampled: HashSet<usize> = centers
-                .into_iter()
-                .filter(|_| rng.gen::<f64>() < p)
-                .collect();
-
-            let mut next_cluster: Vec<Option<usize>> = vec![None; n];
-            // Vertices of sampled clusters stay put.
-            for v in 0..n {
-                if let Some(c) = cluster[v] {
-                    if sampled.contains(&c) {
-                        next_cluster[v] = Some(c);
-                    }
-                }
+            // Which cluster centers survive this round? Mark the live centers,
+            // then flip one coin per center in ascending id order.
+            sampled.fill(false);
+            for &c in cluster.iter().flatten() {
+                sampled[c] = true;
+            }
+            for s in sampled.iter_mut().filter(|s| **s) {
+                *s = rng.gen::<f64>() < p;
             }
 
+            // Vertices of sampled clusters stay put.
+            let mut next_cluster: Vec<Option<usize>> =
+                cluster.iter().map(|c| c.filter(|&c| sampled[c])).collect();
+
             for v_idx in 0..n {
-                let v = NodeId::new(v_idx);
                 let Some(own) = cluster[v_idx] else { continue };
-                if sampled.contains(&own) {
+                if sampled[own] {
                     continue;
                 }
-                let neighbors = Self::neighbor_clusters(graph, &alive, &cluster, v);
-                // Closest sampled neighbor cluster, if any.
-                let best_sampled = neighbors
-                    .iter()
-                    .filter(|(c, _)| sampled.contains(c))
-                    .min_by(|a, b| {
-                        a.1 .0
-                            .partial_cmp(&b.1 .0)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .map(|(&c, &(w, e))| (c, w, e));
-
-                match best_sampled {
+                let v = NodeId::new(v_idx);
+                scratch.scan(graph, &alive, &cluster, v);
+                match scratch.nearest_sampled(&sampled) {
                     None => {
                         // No sampled neighbor: buy the cheapest edge to every
                         // neighboring cluster and drop out of the clustering.
-                        for (&c, &(_w, e)) in &neighbors {
-                            spanner.insert(e);
-                            Self::discard_edges_to_cluster(graph, &mut alive, &cluster, v, c);
-                        }
+                        scratch.buy_lighter_than(&mut spanner, f64::INFINITY);
                         next_cluster[v_idx] = None;
                     }
-                    Some((c_star, w_star, e_star)) => {
-                        spanner.insert(e_star);
+                    Some(c_star) => {
+                        // Join the nearest sampled cluster, and keep the
+                        // cheapest edge to every strictly closer cluster.
+                        let w_star = scratch.best[c_star].0;
+                        scratch.buy(&mut spanner, c_star);
+                        scratch.buy_lighter_than(&mut spanner, w_star);
                         next_cluster[v_idx] = Some(c_star);
-                        Self::discard_edges_to_cluster(graph, &mut alive, &cluster, v, c_star);
-                        for (&c, &(w, e)) in &neighbors {
-                            if c != c_star && w < w_star {
-                                spanner.insert(e);
-                                Self::discard_edges_to_cluster(graph, &mut alive, &cluster, v, c);
-                            }
-                        }
                     }
                 }
+                scratch.discard_bought(graph, &mut alive, &cluster, v);
             }
 
             // Remove edges that became internal to a cluster.
@@ -206,11 +265,9 @@ impl SpannerAlgorithm for BaswanaSenSpanner {
         // adjacent cluster.
         for v_idx in 0..n {
             let v = NodeId::new(v_idx);
-            let neighbors = Self::neighbor_clusters(graph, &alive, &cluster, v);
-            for (&c, &(_w, e)) in &neighbors {
-                spanner.insert(e);
-                Self::discard_edges_to_cluster(graph, &mut alive, &cluster, v, c);
-            }
+            scratch.scan(graph, &alive, &cluster, v);
+            scratch.buy_lighter_than(&mut spanner, f64::INFINITY);
+            scratch.discard_bought(graph, &mut alive, &cluster, v);
         }
 
         spanner
